@@ -28,8 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod affine;
-pub mod banded;
 pub mod batch;
 pub mod calibrate;
 pub mod interseq;

@@ -1,6 +1,6 @@
 //! Needleman–Wunsch global alignment (exact, O(nm)).
 //!
-//! Used as a correctness oracle for the banded kernels and as the
+//! Used as a correctness oracle for the X-drop kernels and as the
 //! "quadratic exact DP" baseline the paper contrasts seed-and-extend
 //! against (§2: exact algorithms are O(n²) in the longer read).
 

@@ -1,6 +1,5 @@
 //! Property-based validation of the alignment kernels against each other.
 
-use gnb_align::banded::banded_global;
 use gnb_align::nw::global_score;
 use gnb_align::sw::local_align;
 use gnb_align::xdrop::xdrop_extend;
@@ -115,23 +114,6 @@ proptest! {
         prop_assert!(xd.score >= 0);
         let sw = local_align(&a, &b, &sc);
         prop_assert!(sw.a_end <= a.len() && sw.b_end <= b.len());
-    }
-
-    /// A full-width band reproduces the exact global score; any band is a
-    /// lower bound and widening is monotone.
-    #[test]
-    fn banded_bounds_global(a in dna(50), b in dna(50), sc in scheme()) {
-        prop_assume!(!a.is_empty() && !b.is_empty());
-        let exact = global_score(&a, &b, &sc).score;
-        let full = banded_global(&a, &b, &sc, a.len().max(b.len()));
-        prop_assert_eq!(full.score, exact);
-        let mut last = i32::MIN / 4;
-        for band in [1usize, 3, 10, 60] {
-            let r = banded_global(&a, &b, &sc, band);
-            prop_assert!(r.score <= exact);
-            prop_assert!(r.score >= last);
-            last = r.score;
-        }
     }
 
     /// SW traceback recomputes its own score and consumes exact spans.

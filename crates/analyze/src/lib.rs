@@ -33,7 +33,7 @@
 //! The `gnb-lint` binary (`src/bin/gnb-lint.rs`) is the CLI entry point;
 //! CI runs it with `--deny-all --baseline lint-baseline.json`. The dynamic
 //! half of the determinism suite — the virtual-time race detector — lives
-//! in `gnb-sim` (see `gnb_sim::trace::RaceDetector`), because it must
+//! in `gnb-sim` (see `gnb_sim::race::RaceDetector`), because it must
 //! observe live event dispatch; this crate is the static half.
 
 #![warn(missing_docs)]

@@ -15,7 +15,7 @@
 
 use gnb_bench::{banner, cli_args, load_workload, write_tsv};
 use gnb_core::driver::{run_sim, try_run_sim, Algorithm, RunConfig};
-use gnb_sim::TieBreak;
+use gnb_sim::{FaultConfig, TieBreak};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -94,10 +94,14 @@ fn main() -> ExitCode {
         }
     }
 
-    // Ungated faulty cell: reply loss drives the retry / duplicate-reply
+    // Ungated faulty cell: message loss (2% per wire message, so ~4% of
+    // request/reply round trips) drives the retry / duplicate-reply
     // machinery through the instrumented state keys.
     let cfg = RunConfig {
-        rpc_drop_period: 25,
+        fault: FaultConfig {
+            drop_prob: 0.02,
+            ..FaultConfig::default()
+        },
         rpc_timeout_ns: 500_000,
         detect_races: true,
         ..RunConfig::default()

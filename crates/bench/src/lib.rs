@@ -1,6 +1,5 @@
 //! Shared plumbing for the experiment binaries (`src/bin/expt_*.rs`) that
-//! regenerate every table and figure of the paper, and for the criterion
-//! microbenchmarks under `benches/`.
+//! regenerate every table and figure of the paper.
 //!
 //! Conventions:
 //!

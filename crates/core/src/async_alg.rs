@@ -29,15 +29,13 @@
 use crate::cost::CostModel;
 use crate::driver::RunConfig;
 use crate::machine::MachineConfig;
-use crate::runtime::{CoordinationStrategy, RankRuntime, RtCtx, RuntimeConfig, TAKEOVER_KEY_BASE};
+use crate::runtime::{CoordinationStrategy, RtCtx, TAKEOVER_KEY_BASE};
 use crate::workload::{task_checksum, SimWorkload};
-use gnb_sim::ckpt::{Checkpointable, CkptReader, CkptStore, CkptWriter};
+use gnb_sim::ckpt::{Checkpointable, CkptReader, CkptWriter};
 use gnb_sim::engine::TimeCategory;
-use gnb_sim::fault::FaultPlan;
 use gnb_sim::SimTime;
 use std::collections::{BTreeMap, VecDeque};
-// gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Barrier ids.
 const BAR_REG: u64 = 0;
@@ -169,7 +167,8 @@ pub fn plan_async(w: &SimWorkload, machine: &MachineConfig, cfg: &RunConfig) -> 
 /// The strategy-facing context of the async code.
 type ACtx<'c, 'e> = RtCtx<'c, 'e, AsyncApp, (), ()>;
 
-/// The asynchronous protocol state machine, hosted by [`RankRuntime`].
+/// The asynchronous protocol state machine, hosted by
+/// [`crate::runtime::RankRuntime`].
 pub struct AsyncStrategy {
     plan: Arc<AsyncPlan>,
     rank: usize,
@@ -216,42 +215,6 @@ impl AsyncStrategy {
             adoptions_left: 0,
             adopted: BTreeMap::new(),
         }
-    }
-
-    /// Creates the full runtime-hosted rank program.
-    pub fn program(
-        plan: Arc<AsyncPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-    ) -> RankRuntime<AsyncStrategy> {
-        RankRuntime::new(
-            AsyncStrategy::new(plan, rank, cfg),
-            rank,
-            RuntimeConfig::from_run(machine, cfg),
-        )
-    }
-
-    /// Creates the full runtime-hosted rank program with the recovery
-    /// stack: a fault plan carrying the crash schedule and the shared
-    /// checkpoint store. The driver uses this for every run; with no
-    /// crashes scheduled it behaves exactly like [`Self::program`].
-    pub fn program_with_recovery(
-        plan: Arc<AsyncPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-        fault: Arc<FaultPlan>,
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        ckpt: Option<Arc<Mutex<CkptStore>>>,
-    ) -> RankRuntime<AsyncStrategy> {
-        RankRuntime::with_recovery(
-            AsyncStrategy::new(plan, rank, cfg),
-            rank,
-            RuntimeConfig::from_run(machine, cfg),
-            fault,
-            ckpt,
-        )
     }
 
     /// Serializes protocol progress: the local-chunk cursor, the group
@@ -533,8 +496,10 @@ impl CoordinationStrategy for AsyncStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineConfig;
+    use crate::runtime::{RankRuntime, RuntimeConfig};
     use gnb_align::Candidate;
-    use gnb_sim::Engine;
+    use gnb_sim::{Engine, FaultPlan};
 
     fn cand(a: u32, b: u32) -> Candidate {
         Candidate {
@@ -568,7 +533,15 @@ mod tests {
         let m = machine(nranks);
         let plan = Arc::new(plan_async(&w, &m, cfg));
         let mut progs: Vec<RankRuntime<AsyncStrategy>> = (0..nranks)
-            .map(|r| AsyncStrategy::program(Arc::clone(&plan), r, &m, cfg))
+            .map(|r| {
+                RankRuntime::new(
+                    AsyncStrategy::new(Arc::clone(&plan), r, cfg),
+                    r,
+                    RuntimeConfig::from_run(&m, cfg),
+                    Arc::new(FaultPlan::default()),
+                    None,
+                )
+            })
             .collect();
         let report = Engine::new(nranks, m.net).run(&mut progs);
         (progs, report)
@@ -688,33 +661,8 @@ mod tests {
     }
 
     #[test]
-    fn reply_loss_recovered_by_retry() {
-        let cfg = RunConfig {
-            rpc_drop_period: 3, // drop every third reply
-            rpc_timeout_ns: 50_000,
-            ..RunConfig::default()
-        };
-        let (progs, report) = run(4, &cfg);
-        let done: u64 = progs.iter().map(|p| p.tasks_done()).sum();
-        assert_eq!(
-            done as usize,
-            workload(4).total_tasks,
-            "all tasks despite drops"
-        );
-        let drops: u64 = progs.iter().map(|p| p.recovery().drops_injected).sum();
-        let retries: u64 = progs.iter().map(|p| p.recovery().retries).sum();
-        assert!(drops > 0, "injection must actually fire");
-        assert!(retries >= drops, "every dropped reply forces a retry");
-        // And the lossy run is slower than the reliable one.
-        let (_, reliable) = run(4, &RunConfig::default());
-        assert!(report.end_time > reliable.end_time);
-    }
-
-    #[test]
     fn reliable_network_never_retries() {
         let (progs, _) = run(4, &RunConfig::default());
-        assert!(progs
-            .iter()
-            .all(|p| p.recovery().drops_injected == 0 && p.recovery().retries == 0));
+        assert!(progs.iter().all(|p| p.recovery().retries == 0));
     }
 }

@@ -194,7 +194,6 @@ mod tests {
                 mk(3_900_000_000, 100_000_000, 0, 0),
             ],
             events: 2,
-            trace: None,
             faults: FaultStats::default(),
             races: None,
             obs: None,
@@ -247,7 +246,6 @@ mod tests {
             end_time: SimTime::ZERO,
             ranks: vec![],
             events: 0,
-            trace: None,
             faults: FaultStats::default(),
             races: None,
             obs: None,

@@ -20,15 +20,13 @@
 
 use crate::driver::RunConfig;
 use crate::machine::MachineConfig;
-use crate::runtime::{CoordinationStrategy, RankRuntime, RtCtx, RuntimeConfig};
+use crate::runtime::{CoordinationStrategy, RtCtx};
 use crate::workload::{task_checksum, SimWorkload};
-use gnb_sim::ckpt::{CkptReader, CkptStore, CkptWriter};
+use gnb_sim::ckpt::{CkptReader, CkptWriter};
 use gnb_sim::coll::{alltoallv_time, CollParams, ExchangeLoad};
 use gnb_sim::engine::TimeCategory;
-use gnb_sim::fault::FaultPlan;
 use gnb_sim::SimTime;
-// gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Precomputed global plan for a BSP run.
 #[derive(Debug, Clone)]
@@ -208,9 +206,9 @@ pub enum BspApp {
 type BCtx<'c, 'e> = RtCtx<'c, 'e, BspApp, (), ()>;
 
 /// The bulk-synchronous superstep state machine, hosted by
-/// [`RankRuntime`]. All communication is through the modelled collective
-/// ([`RtCtx::collective_exchange`]); the strategy sends no point-to-point
-/// messages and tracks no requests.
+/// [`crate::runtime::RankRuntime`]. All communication is through the
+/// modelled collective ([`RtCtx::collective_exchange`]); the strategy sends
+/// no point-to-point messages and tracks no requests.
 pub struct BspStrategy {
     plan: Arc<BspPlan>,
     rank: usize,
@@ -225,41 +223,6 @@ impl BspStrategy {
             rank,
             tasks_done: 0,
         }
-    }
-
-    /// Creates the full runtime-hosted rank program. The fault plan feeds
-    /// the collective detect-and-reissue loop (an inactive plan never
-    /// fires).
-    pub fn program(
-        plan: Arc<BspPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-        fault: Arc<FaultPlan>,
-    ) -> RankRuntime<BspStrategy> {
-        BspStrategy::program_with_recovery(plan, rank, machine, cfg, fault, None)
-    }
-
-    /// Creates the full runtime-hosted rank program with the recovery
-    /// stack: the fault plan (crash schedule included) and the shared
-    /// checkpoint store. With no crashes scheduled it behaves exactly
-    /// like [`Self::program`].
-    pub fn program_with_recovery(
-        plan: Arc<BspPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-        fault: Arc<FaultPlan>,
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        ckpt: Option<Arc<Mutex<CkptStore>>>,
-    ) -> RankRuntime<BspStrategy> {
-        RankRuntime::with_recovery(
-            BspStrategy::new(plan, rank),
-            rank,
-            RuntimeConfig::from_run(machine, cfg),
-            fault,
-            ckpt,
-        )
     }
 }
 

@@ -7,13 +7,13 @@ use crate::breakdown::RuntimeBreakdown;
 use crate::bsp::{plan_bsp, BspStrategy};
 use crate::cost::CostModel;
 use crate::machine::MachineConfig;
-use crate::runtime::{CoordinationStrategy, RankRuntime};
+use crate::runtime::{CoordinationStrategy, RankRuntime, RuntimeConfig, StrategyMsg};
 pub use crate::runtime::{CrashResponse, RecoveryStats};
 use crate::workload::SimWorkload;
 use gnb_sim::ckpt::{CkptParams, CkptStore};
 use gnb_sim::engine::SimReport;
-use gnb_sim::fault::{CrashPlan, FaultConfig, FaultStats};
-use gnb_sim::trace::RaceDetector;
+use gnb_sim::fault::{CrashPlan, FaultConfig, FaultPlan, FaultStats};
+use gnb_sim::race::RaceDetector;
 use gnb_sim::{Engine, TieBreak};
 use serde::{Deserialize, Serialize};
 // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
@@ -76,16 +76,10 @@ pub struct RunConfig {
     /// given up and "the slight improvement in computation time is
     /// cancelled-out by a slight increase in overheads".
     pub os_noise: f64,
-    /// Failure injection: every `rpc_drop_period`-th RPC reply an owner
-    /// would send is lost (0 = reliable network, the default — GASNet-EX
-    /// "ensures read requests and callbacks are delivered, under the usual
-    /// assumptions about the network"; positive values stress the
-    /// requester's timeout/retry path).
-    pub rpc_drop_period: u64,
     /// Requester-side base retry timeout for outstanding RPCs, ns. Armed
-    /// whenever the network is unreliable (`rpc_drop_period > 0` or
-    /// message faults in [`Self::fault`]); later attempts back off
-    /// exponentially with deterministic jitter.
+    /// whenever the network is unreliable (message faults in
+    /// [`Self::fault`], or crashes in [`Self::crash`]); later attempts back
+    /// off exponentially with deterministic jitter.
     pub rpc_timeout_ns: u64,
     /// Backoff cap, ns: no retry waits longer than this (plus jitter).
     pub rpc_backoff_max_ns: u64,
@@ -93,7 +87,11 @@ pub struct RunConfig {
     /// request exhausts it the run ends with
     /// [`RunError::RetryBudgetExhausted`] instead of hanging.
     pub rpc_max_retries: u32,
-    /// Deterministic fault-injection recipe (inactive by default).
+    /// Deterministic fault-injection recipe (inactive by default: a
+    /// reliable network — GASNet-EX "ensures read requests and callbacks
+    /// are delivered, under the usual assumptions about the network").
+    /// `fault.drop_prob` is the one way to lose a message and stress the
+    /// requester's timeout/retry path.
     pub fault: FaultConfig,
     /// Crash-stop schedule: ranks killed at fixed virtual times
     /// ([`CrashPlan::none`] by default — a crash-free plan leaves every
@@ -119,11 +117,8 @@ pub struct RunConfig {
     /// Fraction of that factor that is resident simultaneously (tracked as
     /// the footprint a job log would see).
     pub bsp_buffer_factor: f64,
-    /// Span-trace capacity (0 = tracing off). Enables
-    /// `SimReport::trace` for timeline rendering.
-    pub trace_capacity: usize,
     /// Enable the virtual-time race detector
-    /// ([`gnb_sim::trace::RaceDetector`]): instrumented handlers declare
+    /// ([`gnb_sim::race::RaceDetector`]): instrumented handlers declare
     /// the state keys they touch, and same-rank same-virtual-time
     /// conflicts (whose resolution depends on event-queue tie-breaking)
     /// surface in [`RunResult::races`]. Off by default — detection does
@@ -137,10 +132,10 @@ pub struct RunConfig {
     /// Enable the structured observability recorder
     /// ([`gnb_sim::obs::Obs`]): typed dispatch nodes with causal edges,
     /// busy spans, recovery instants and virtual-time metric series,
-    /// surfaced in [`RunResult::obs`] for Perfetto export and
-    /// critical-path profiling. Off by default — recording does not
-    /// perturb the timeline (pinned by `tests/observer_invariance.rs`),
-    /// but the record buffers cost memory.
+    /// surfaced in [`RunResult::obs`] for Perfetto export, critical-path
+    /// profiling and the `gnb_trace::timeline` view. Off by default —
+    /// recording does not perturb the timeline (pinned by
+    /// `tests/observer_invariance.rs`), but the record buffers cost memory.
     pub obs: bool,
     /// Worker shards of the conservative-parallel engine (1 = the serial
     /// reference loop). Any value produces byte-identical reports — the
@@ -187,7 +182,6 @@ impl Default for RunConfig {
             overhead_ns_per_task_bsp: 20_000,
             overhead_ns_per_task_async: 45_000,
             os_noise: 0.0,
-            rpc_drop_period: 0,
             rpc_timeout_ns: 20_000_000,      // 20 ms base
             rpc_backoff_max_ns: 320_000_000, // 16x the base
             rpc_max_retries: 8,
@@ -198,7 +192,6 @@ impl Default for RunConfig {
             ckpt: CkptParams::default(),
             bsp_exchange_overhead: 3.5,
             bsp_buffer_factor: 2.0,
-            trace_capacity: 0,
             detect_races: false,
             tie_break: TieBreak::Fifo,
             obs: false,
@@ -339,6 +332,110 @@ pub fn run_sim(
     try_run_sim(workload, machine, algo, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The strategy-independent half of a run: what [`try_run_sim`] derives
+/// from the configuration before it knows which strategy type to host.
+struct Host<'a> {
+    algo: Algorithm,
+    machine: &'a MachineConfig,
+    cfg: &'a RunConfig,
+    /// Message faults plus the crash schedule, shared by the engine and
+    /// every rank runtime.
+    fault_plan: Arc<FaultPlan>,
+    /// The shared stable-storage checkpoint store, created only when
+    /// crashes are scheduled: crash-free runs take no checkpoints and stay
+    /// byte-identical to pre-checkpoint builds. The serial engine takes
+    /// the lock uncontended — it only satisfies the shared-ownership type.
+    // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
+    ckpt_store: Option<Arc<Mutex<CkptStore>>>,
+    /// Ranks the crash schedule kills, ascending. In takeover mode their
+    /// work is completed by successors; their own partial counters are
+    /// excluded so nothing double-counts.
+    dead_ranks: Vec<usize>,
+}
+
+impl Host<'_> {
+    /// Hosts `strategy(rank)` on every rank of a fresh engine, runs it to
+    /// quiescence and extracts the report, tasks done, checksum, unified
+    /// recovery counters and first retry-budget exhaustion. Dead ranks
+    /// contribute no task counts (their work is replayed by a successor
+    /// under takeover, or lost under degrade) and no failures (their
+    /// state died with them); their plan checksums count under takeover —
+    /// the successor completes exactly that task set — and are excluded
+    /// under degrade.
+    fn run<S>(
+        &self,
+        strategy: impl Fn(usize) -> S,
+    ) -> (SimReport, u64, u64, RecoveryStats, Option<RunError>)
+    where
+        S: CoordinationStrategy + Send,
+        S::Req: Send,
+        StrategyMsg<S>: Clone + Send,
+    {
+        let (machine, cfg, dead) = (self.machine, self.cfg, &self.dead_ranks);
+        let nranks = machine.nranks();
+        let rt_cfg = RuntimeConfig::from_run(machine, cfg);
+        let mut progs: Vec<RankRuntime<S>> = (0..nranks)
+            .map(|r| {
+                RankRuntime::new(
+                    strategy(r),
+                    r,
+                    rt_cfg,
+                    Arc::clone(&self.fault_plan),
+                    self.ckpt_store.clone(),
+                )
+            })
+            .collect();
+        // Pre-size the event queue for the steady state: every rank can
+        // have a handful of in-flight requests/replies plus self-timers,
+        // and barrier completion fans out one event per rank. A hint that
+        // is too small merely costs a reallocation; the report is
+        // identical (see `Engine::with_event_capacity`).
+        let mut engine = Engine::new(nranks, machine.net)
+            .with_event_capacity(8 * nranks)
+            .with_threads(cfg.threads)
+            .with_tie_break(cfg.tie_break);
+        if cfg.fault.is_active() || !cfg.crash.is_empty() {
+            engine = engine.with_faults(FaultPlan::clone(&self.fault_plan));
+        }
+        if cfg.detect_races {
+            engine = engine.with_race_detection(RACE_CAPACITY);
+        }
+        if cfg.obs {
+            engine = engine.with_obs(gnb_sim::obs::ObsConfig::default());
+        }
+        let report = engine.run(&mut progs);
+        let done: u64 = progs
+            .iter()
+            .enumerate()
+            .filter(|(r, _)| !dead.contains(r))
+            .map(|(_, p)| p.tasks_done())
+            .sum();
+        let sum = progs
+            .iter()
+            .enumerate()
+            .filter(|(r, _)| cfg.crash_response == CrashResponse::Takeover || !dead.contains(r))
+            .fold(0u64, |acc, (_, p)| acc.wrapping_add(p.checksum()));
+        let mut recovery = RecoveryStats::default();
+        for p in &progs {
+            recovery.absorb(p.recovery());
+        }
+        let failure = progs.iter().enumerate().find_map(|(r, p)| {
+            if dead.contains(&r) {
+                return None;
+            }
+            p.failure().map(|f| RunError::RetryBudgetExhausted {
+                algorithm: self.algo,
+                rank: r,
+                key: f.key,
+                attempts: f.attempts,
+                owner: f.owner,
+                crash_dead: f.crash_dead,
+            })
+        });
+        (report, done, sum, recovery, failure)
+    }
+}
+
 /// Runs `algo` over the fixed `workload` on `machine`, returning a
 /// structured [`RunError`] when the run could not complete (retry budgets
 /// exhausted under fault injection, or a task-accounting bug).
@@ -358,157 +455,37 @@ pub fn try_run_sim(
     if !cfg.crash.is_empty() {
         fault_plan = fault_plan.with_crashes(cfg.crash.clone());
     }
-    // The shared stable-storage checkpoint store, created only when
-    // crashes are scheduled: crash-free runs take no checkpoints and stay
-    // byte-identical to pre-checkpoint builds. The engine is single-
-    // threaded, so the mutex never contends — it only satisfies the
-    // shared-ownership type.
-    // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-    let ckpt_store: Option<Arc<Mutex<CkptStore>>> = if cfg.crash.is_empty() {
-        None
-    } else {
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        Some(Arc::new(Mutex::new(CkptStore::new(nranks))))
-    };
-    fn mk_engine<M>(
-        nranks: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-        fault_plan: &gnb_sim::FaultPlan,
-    ) -> Engine<M> {
-        // Pre-size the event queue for the steady state: every rank can
-        // have a handful of in-flight requests/replies plus self-timers,
-        // and barrier completion fans out one event per rank. A hint that
-        // is too small merely costs a reallocation; the report is
-        // identical (see `Engine::with_event_capacity`).
-        let mut engine = Engine::new(nranks, machine.net)
-            .with_event_capacity(8 * nranks)
-            .with_threads(cfg.threads);
-        if cfg.trace_capacity > 0 {
-            engine = engine.with_trace(cfg.trace_capacity);
-        }
-        if cfg.fault.is_active() || !cfg.crash.is_empty() {
-            engine = engine.with_faults(fault_plan.clone());
-        }
-        if cfg.detect_races {
-            engine = engine.with_race_detection(RACE_CAPACITY);
-        }
-        if cfg.obs {
-            engine = engine.with_obs(gnb_sim::obs::ObsConfig::default());
-        }
-        engine.with_tie_break(cfg.tie_break)
-    }
-    // Ranks the crash schedule kills, ascending. In takeover mode their
-    // work is completed by successors; their own partial counters are
-    // excluded so nothing double-counts.
     let mut dead_ranks: Vec<usize> = cfg.crash.crashes.iter().map(|c| c.rank).collect();
     dead_ranks.sort_unstable();
     dead_ranks.dedup();
-    /// Strategy-independent result extraction: tasks, checksum, unified
-    /// recovery counters, first retry-budget exhaustion. Dead ranks
-    /// contribute no task counts (their work is replayed by a successor
-    /// under takeover, or lost under degrade) and no failures (their
-    /// state died with them); their plan checksums count under takeover —
-    /// the successor completes exactly that task set — and are excluded
-    /// under degrade.
-    fn collect<S: CoordinationStrategy>(
-        algo: Algorithm,
-        progs: &[RankRuntime<S>],
-        dead: &[usize],
-        response: CrashResponse,
-    ) -> (u64, u64, RecoveryStats, Option<RunError>) {
-        let done: u64 = progs
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| !dead.contains(r))
-            .map(|(_, p)| p.tasks_done())
-            .sum();
-        let sum = progs
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| response == CrashResponse::Takeover || !dead.contains(r))
-            .fold(0u64, |acc, (_, p)| acc.wrapping_add(p.checksum()));
-        let mut recovery = RecoveryStats::default();
-        for p in progs {
-            recovery.absorb(p.recovery());
-        }
-        let failure = progs.iter().enumerate().find_map(|(r, p)| {
-            if dead.contains(&r) {
-                return None;
-            }
-            p.failure().map(|f| RunError::RetryBudgetExhausted {
-                algorithm: algo,
-                rank: r,
-                key: f.key,
-                attempts: f.attempts,
-                owner: f.owner,
-                crash_dead: f.crash_dead,
-            })
-        });
-        (done, sum, recovery, failure)
-    }
-    let (report, tasks_done, checksum, rounds, recovery, first_failure) = match algo {
+    let host = Host {
+        algo,
+        machine,
+        cfg,
+        fault_plan: Arc::new(fault_plan),
+        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
+        ckpt_store: (!cfg.crash.is_empty()).then(|| Arc::new(Mutex::new(CkptStore::new(nranks)))),
+        dead_ranks,
+    };
+    let (outcome, rounds) = match algo {
         Algorithm::Bsp => {
             let plan = Arc::new(plan_bsp(workload, machine, cfg));
-            let fp = Arc::new(fault_plan.clone());
-            let mut progs: Vec<_> = (0..nranks)
-                .map(|r| {
-                    BspStrategy::program_with_recovery(
-                        Arc::clone(&plan),
-                        r,
-                        machine,
-                        cfg,
-                        Arc::clone(&fp),
-                        ckpt_store.clone(),
-                    )
-                })
-                .collect();
-            let report = mk_engine(nranks, machine, cfg, &fault_plan).run(&mut progs);
-            let (done, sum, recovery, failure) =
-                collect(algo, &progs, &dead_ranks, cfg.crash_response);
-            (report, done, sum, plan.rounds, recovery, failure)
+            let out = host.run(|r| BspStrategy::new(Arc::clone(&plan), r));
+            (out, plan.rounds)
         }
         Algorithm::Async => {
             let plan = Arc::new(plan_async(workload, machine, cfg));
-            let fp = Arc::new(fault_plan.clone());
-            let mut progs: Vec<_> = (0..nranks)
-                .map(|r| {
-                    AsyncStrategy::program_with_recovery(
-                        Arc::clone(&plan),
-                        r,
-                        machine,
-                        cfg,
-                        Arc::clone(&fp),
-                        ckpt_store.clone(),
-                    )
-                })
-                .collect();
-            let report = mk_engine(nranks, machine, cfg, &fault_plan).run(&mut progs);
-            let (done, sum, recovery, failure) =
-                collect(algo, &progs, &dead_ranks, cfg.crash_response);
-            (report, done, sum, 1, recovery, failure)
+            let out = host.run(|r| AsyncStrategy::new(Arc::clone(&plan), r, cfg));
+            (out, 1)
         }
         Algorithm::AggAsync => {
             let plan = Arc::new(plan_async(workload, machine, cfg));
-            let fp = Arc::new(fault_plan.clone());
-            let mut progs: Vec<_> = (0..nranks)
-                .map(|r| {
-                    AggAsyncStrategy::program_with_recovery(
-                        Arc::clone(&plan),
-                        r,
-                        machine,
-                        cfg,
-                        Arc::clone(&fp),
-                        ckpt_store.clone(),
-                    )
-                })
-                .collect();
-            let report = mk_engine(nranks, machine, cfg, &fault_plan).run(&mut progs);
-            let (done, sum, recovery, failure) =
-                collect(algo, &progs, &dead_ranks, cfg.crash_response);
-            (report, done, sum, 1, recovery, failure)
+            let out = host.run(|r| AggAsyncStrategy::new(Arc::clone(&plan), r, cfg));
+            (out, 1)
         }
     };
+    let (report, tasks_done, checksum, recovery, first_failure) = outcome;
+    let dead_ranks = host.dead_ranks;
     if let Some(err) = first_failure {
         return Err(err);
     }

@@ -13,7 +13,7 @@
 //!   [`RtMsg`] and its dispatch; tracked-request issue / retry / give-up
 //!   (timers armed through the never-faulted self-timer path); duplicate
 //!   -reply suppression with per-attempt tags; the owner-side service
-//!   cost and legacy reply-drop injector; collective detect-and-reissue
+//!   cost; collective detect-and-reissue
 //!   recovery; idle classification of the runtime's own events (replies
 //!   → `Comm`, retry timers → `Recovery`); race keys for request state;
 //!   the unified [`RecoveryStats`] / [`RetryFailure`] ledger.
@@ -443,8 +443,8 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
 
     /// Serves one tracked request (owner side): books `units` of service
     /// CPU — as [`TimeCategory::Recovery`] when the request is a retry,
-    /// since servicing it again is fault-induced work — runs the legacy
-    /// reply-drop injector, and ships `bytes` of reply back to `src`.
+    /// since servicing it again is fault-induced work — and ships `bytes`
+    /// of reply back to `src`.
     /// Declare the race keys of the state being read *before* calling.
     pub fn serve_reply(
         &mut self,
@@ -462,14 +462,6 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         };
         self.ctx
             .advance(SimTime::from_ns(self.svc.cfg.service.as_ns() * units), cat);
-        self.svc.served += 1;
-        if self.svc.cfg.drop_period > 0 && self.svc.served.is_multiple_of(self.svc.cfg.drop_period)
-        {
-            // Failure injection: the reply is lost on the wire.
-            self.svc.counters.drops_injected += 1;
-            self.ctx.obs_instant(InstantKind::InjectedDrop, key);
-            return;
-        }
         self.ctx.send(
             src,
             bytes,
@@ -636,27 +628,13 @@ pub struct RankRuntime<S: CoordinationStrategy> {
 }
 
 impl<S: CoordinationStrategy> RankRuntime<S> {
-    /// Hosts `strategy` on rank `rank` with an inactive collective fault
-    /// plan (message-level faults live in the engine and need no plan
-    /// here).
-    pub fn new(strategy: S, rank: usize, cfg: RuntimeConfig) -> RankRuntime<S> {
-        RankRuntime::with_fault_plan(strategy, rank, cfg, Arc::new(FaultPlan::default()))
-    }
-
-    /// Hosts `strategy` with a fault plan for collective-exchange
-    /// detect-and-reissue ([`RtCtx::collective_exchange`]).
-    pub fn with_fault_plan(
-        strategy: S,
-        rank: usize,
-        cfg: RuntimeConfig,
-        fault: Arc<FaultPlan>,
-    ) -> RankRuntime<S> {
-        RankRuntime::with_recovery(strategy, rank, cfg, fault, None)
-    }
-
-    /// Hosts `strategy` with a full recovery stack: a fault plan (crash
-    /// schedule included) and the shared stable-storage checkpoint store.
-    pub fn with_recovery(
+    /// Hosts `strategy` on rank `rank`. `fault` feeds collective-exchange
+    /// detect-and-reissue ([`RtCtx::collective_exchange`]) and carries the
+    /// crash schedule (message-level faults live in the engine; an
+    /// inactive plan never fires); `ckpt_store` is the shared
+    /// stable-storage checkpoint store, `None` when no crashes are
+    /// scheduled.
+    pub fn new(
         strategy: S,
         rank: usize,
         cfg: RuntimeConfig,

@@ -1,7 +1,6 @@
 //! Runtime-owned services: the per-rank request ledger, the
-//! exponential-backoff retry machinery with attempt-tagged dedup, the
-//! legacy owner-side reply-drop injector, and the unified recovery
-//! counters — everything [`async_alg`](crate::async_alg) and
+//! exponential-backoff retry machinery with attempt-tagged dedup, and the
+//! unified recovery counters — everything [`async_alg`](crate::async_alg) and
 //! [`bsp`](crate::bsp) used to hand-roll separately.
 //!
 //! A *tracked request* is a `(key, attempt)` pair: the key names the thing
@@ -45,8 +44,6 @@ pub struct RecoveryStats {
     pub retries: u64,
     /// Duplicate replies received and discarded.
     pub dup_replies: u64,
-    /// Replies deliberately dropped by the legacy owner-side injector.
-    pub drops_injected: u64,
     /// Exchange rounds re-executed after a detected loss (collective
     /// strategies), summed over ranks.
     pub reissued_rounds: u64,
@@ -65,7 +62,6 @@ impl RecoveryStats {
     pub fn absorb(&mut self, other: RecoveryStats) {
         self.retries += other.retries;
         self.dup_replies += other.dup_replies;
-        self.drops_injected += other.drops_injected;
         self.reissued_rounds += other.reissued_rounds;
         self.takeovers += other.takeovers;
         self.restores += other.restores;
@@ -109,9 +105,6 @@ pub struct RuntimeConfig {
     pub max_retries: u32,
     /// Jitter seed (from the fault config, so runs stay reproducible).
     pub fault_seed: u64,
-    /// Legacy failure injection (0 = off): every Nth served request's
-    /// reply is lost.
-    pub drop_period: u64,
     /// Crash-stop response policy (only consulted when the fault plan
     /// schedules crashes).
     pub crash_response: CrashResponse,
@@ -130,14 +123,11 @@ impl RuntimeConfig {
             service: SimTime::from_ns(machine.rpc_service_ns),
             // Crashes make the wire unreliable too: a dead peer's replies
             // never come, and only an armed retry timer can notice.
-            unreliable: cfg.rpc_drop_period > 0
-                || cfg.fault.message_faults_possible()
-                || !cfg.crash.is_empty(),
+            unreliable: cfg.fault.message_faults_possible() || !cfg.crash.is_empty(),
             backoff_base: SimTime::from_ns(cfg.rpc_timeout_ns),
             backoff_max: SimTime::from_ns(cfg.rpc_backoff_max_ns.max(cfg.rpc_timeout_ns)),
             max_retries: cfg.rpc_max_retries,
             fault_seed: cfg.fault.seed,
-            drop_period: cfg.rpc_drop_period,
             crash_response: cfg.crash_response,
             crash_detect: SimTime::from_ns(cfg.crash_detect_ns),
             ckpt: cfg.ckpt,
@@ -173,8 +163,6 @@ pub struct RuntimeSvc<Q> {
     pub(crate) fault: Arc<FaultPlan>,
     /// Tracked requests by key.
     pub(crate) pending: BTreeMap<u64, PendingReq<Q>>,
-    /// Served-request counter (drives the legacy deterministic drops).
-    pub(crate) served: u64,
     /// Unified recovery counters.
     pub(crate) counters: RecoveryStats,
     /// First retry-budget exhaustion, if any (the run is then incomplete
@@ -201,7 +189,6 @@ impl<Q> RuntimeSvc<Q> {
             rank,
             fault,
             pending: BTreeMap::new(),
-            served: 0,
             counters: RecoveryStats::default(),
             failed: None,
             ckpt_store,

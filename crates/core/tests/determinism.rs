@@ -8,7 +8,7 @@ use gnb_core::machine::MachineConfig;
 use gnb_core::workload::SimWorkload;
 use gnb_genome::presets;
 use gnb_overlap::synth::{synthesize, SynthParams};
-use gnb_sim::TieBreak;
+use gnb_sim::{FaultConfig, TieBreak};
 
 fn workload(nranks: usize) -> SimWorkload {
     let preset = presets::ecoli_30x().scaled(128);
@@ -93,21 +93,26 @@ fn fault_free_checksums_invariant_under_tie_break_perturbation() {
 
 #[test]
 fn faulty_runs_with_detection_still_complete_and_stay_deterministic() {
-    // Reply loss exercises the instrumented retry/duplicate paths with
+    // Message loss exercises the instrumented retry/duplicate paths with
     // detection on; whatever conflicts surface must be identical across
     // repeat runs (the detector itself is deterministic).
     let m = machine(2, 4);
     let w = workload(m.nranks());
     let cfg = RunConfig {
-        rpc_drop_period: 10,
+        fault: FaultConfig {
+            drop_prob: 0.05,
+            ..FaultConfig::default()
+        },
         rpc_timeout_ns: 100_000,
         detect_races: true,
         ..RunConfig::default()
     };
     for algo in [Algorithm::Async, Algorithm::AggAsync] {
+        let reliable = run_sim(&w, &m, algo, &RunConfig::default());
         let a = run_sim(&w, &m, algo, &cfg);
         let b = run_sim(&w, &m, algo, &cfg);
         assert_eq!(a.tasks_done as usize, w.total_tasks, "{algo}");
+        assert_eq!(a.task_checksum, reliable.task_checksum, "{algo}");
         assert!(
             a.recovery.retries > 0,
             "{algo}: injection must actually fire"

@@ -28,9 +28,9 @@ use crate::membership::{self, Membership};
 use crate::net::{NetParams, Network};
 use crate::obs::{EdgeKind, InstantKind, MetricId, Obs, ObsConfig, GLOBAL_RANK};
 use crate::par::{self, LaneCtx};
+use crate::race::RaceDetector;
 use crate::stats::Summary;
 use crate::time::SimTime;
-use crate::trace::{RaceDetector, Trace};
 use std::collections::BTreeMap;
 
 /// Time ledger categories, matching the paper's runtime breakdowns
@@ -84,7 +84,6 @@ pub(crate) struct EngineCore<M> {
     pub(crate) mem: MemTracker,
     pub(crate) finish: Vec<SimTime>,
     pub(crate) events_processed: u64,
-    pub(crate) trace: Option<Trace>,
     /// Fault-injection plan (None = reliable machine).
     pub(crate) fault: Option<FaultPlan>,
     /// Global send sequence number (drives per-message fault decisions).
@@ -401,9 +400,6 @@ impl<'a, M> Ctx<'a, M> {
             CtxCore::Serial(core) => {
                 // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
                 core.ledger[self.rank][cat as usize] += dt;
-                if let Some(trace) = &mut core.trace {
-                    trace.record(self.rank, start, end, cat);
-                }
                 if let Some(obs) = &mut core.obs {
                     obs.on_advance(self.rank, start, end, cat);
                 }
@@ -429,9 +425,6 @@ impl<'a, M> Ctx<'a, M> {
                         // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
                         core.ledger[self.rank][TimeCategory::Recovery as usize] += excess;
                         core.fault_stats.straggler_excess += excess;
-                        if let Some(trace) = &mut core.trace {
-                            trace.record(self.rank, slow_start, slow_end, TimeCategory::Recovery);
-                        }
                         if let Some(obs) = &mut core.obs {
                             obs.on_advance(self.rank, slow_start, slow_end, TimeCategory::Recovery);
                         }
@@ -692,8 +685,6 @@ pub struct SimReport {
     pub ranks: Vec<RankReport>,
     /// Total events processed (a DES health metric).
     pub events: u64,
-    /// Busy-span trace, if tracing was enabled.
-    pub trace: Option<Trace>,
     /// Injected-fault counters (all zero on a reliable machine).
     pub faults: FaultStats,
     /// Race-detector results, if detection was enabled.
@@ -747,7 +738,6 @@ impl<M> Engine<M> {
                 mem: MemTracker::new(nranks),
                 finish: vec![SimTime::ZERO; nranks],
                 events_processed: 0,
-                trace: None,
                 fault: None,
                 msg_seq: 0,
                 dst_counts: vec![0; nranks],
@@ -772,13 +762,6 @@ impl<M> Engine<M> {
         self
     }
 
-    /// Enables span tracing with the given capacity (see
-    /// [`crate::trace::Trace`]).
-    pub fn with_trace(mut self, capacity: usize) -> Engine<M> {
-        self.core.trace = Some(Trace::new(capacity));
-        self
-    }
-
     /// Enables the structured observability recorder (see [`crate::obs`]):
     /// typed dispatch nodes with causal edges, per-node busy spans, point
     /// events, and virtual-time metric series. Recording never perturbs
@@ -796,7 +779,7 @@ impl<M> Engine<M> {
     }
 
     /// Enables the virtual-time race detector (see
-    /// [`crate::trace::RaceDetector`]), keeping at most `capacity`
+    /// [`crate::race::RaceDetector`]), keeping at most `capacity`
     /// conflict records. Detection does not perturb the timeline: the
     /// report of an instrumented run is otherwise bit-identical.
     pub fn with_race_detection(mut self, capacity: usize) -> Engine<M> {
@@ -892,7 +875,6 @@ impl<M> Engine<M> {
         }
         SimReport {
             end_time,
-            trace: self.core.trace.take(),
             faults: self.core.fault_stats,
             races: self.core.races.take(),
             obs: self.core.obs.take(),
@@ -979,9 +961,6 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
                 core.ledger[r][TimeCategory::Recovery as usize] += frozen;
                 core.fault_stats.stall_events += 1;
                 core.fault_stats.stall_time += frozen;
-                if let Some(trace) = &mut core.trace {
-                    trace.record(r, at, thaw, TimeCategory::Recovery);
-                }
                 // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
                 core.busy_until[r] = thaw;
                 // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
@@ -1263,27 +1242,24 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_spans() {
+    fn obs_records_busy_spans() {
+        use crate::obs::ObsConfig;
         let mut progs: Vec<BarrierProg> =
             (0..3).map(|_| BarrierProg { released_at: None }).collect();
-        let report = Engine::new(3, small_net()).with_trace(100).run(&mut progs);
-        let trace = report.trace.expect("trace enabled");
+        let report = Engine::new(3, small_net())
+            .with_obs(ObsConfig::default())
+            .run(&mut progs);
+        let obs = report.obs.expect("obs enabled");
         // Each rank advanced compute once.
-        assert_eq!(trace.spans.len(), 3);
-        for r in 0..3 {
-            let spans = trace.rank_spans(r);
-            assert_eq!(spans.len(), 1);
-            assert_eq!(spans[0].category, TimeCategory::Compute as u8);
-            assert_eq!(
-                (spans[0].end - spans[0].start).as_ns(),
-                1000 * (r as u64 + 1)
-            );
+        assert_eq!(obs.spans.len(), 3);
+        for s in &obs.spans {
+            assert_eq!(s.category, TimeCategory::Compute as u8);
+            assert_eq!((s.end - s.start).as_ns(), 1000 * (s.rank as u64 + 1));
         }
-        // Untraced runs carry no trace.
+        // Unobserved runs carry no recorder.
         let mut progs2: Vec<BarrierProg> =
             (0..3).map(|_| BarrierProg { released_at: None }).collect();
-        let plain = Engine::new(3, small_net()).run(&mut progs2);
-        assert!(plain.trace.is_none());
+        assert!(Engine::new(3, small_net()).run(&mut progs2).obs.is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! The insertion-sequence half of that ordering is an arbitrary
 //! tie-break, so determinism *testing* gets two dedicated hooks (see
 //! DESIGN.md "Determinism contract"): a virtual-time race detector
-//! ([`trace::RaceDetector`], enabled with
+//! ([`race::RaceDetector`], enabled with
 //! [`engine::Engine::with_race_detection`]) that flags same-time
 //! same-rank state conflicts whose resolution depends on the tie-break,
 //! and a perturbation-replay mode ([`event::TieBreak::Lifo`], set with
@@ -49,9 +49,9 @@ mod membership;
 pub mod net;
 pub mod obs;
 mod par;
+pub mod race;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use ckpt::{Checkpointable, CkptParams, CkptReader, CkptRecord, CkptStore, CkptWriter};
 pub use coll::{alltoallv_time, CollParams, ExchangeLoad};
@@ -63,6 +63,6 @@ pub use fault::{backoff_delay, CrashPlan, FaultConfig, FaultPlan, FaultStats, Ra
 pub use mem::MemTracker;
 pub use net::{NetParams, Network};
 pub use obs::{EdgeKind, InstantKind, MetricId, Obs, ObsConfig};
+pub use race::{render_races, RaceDetector, RaceRecord};
 pub use stats::Summary;
 pub use time::SimTime;
-pub use trace::{render_races, RaceDetector, RaceRecord};

@@ -2,10 +2,10 @@
 //! registry, and the event-dependency DAG behind the critical-path
 //! profiler.
 //!
-//! The legacy [`crate::trace::Trace`] answers *how much* time each
-//! [`TimeCategory`] took per rank; this layer answers *why*: every handler
-//! dispatch becomes a [`ObsNode`] with a typed causal edge back to the
-//! handler that scheduled it (message send→deliver, self-timer arm→fire,
+//! The per-rank ledger answers *how much* time each [`TimeCategory`]
+//! took; this layer answers *why*: every handler dispatch becomes a
+//! [`ObsNode`] with a typed causal edge back to the handler that
+//! scheduled it (message send→deliver, self-timer arm→fire,
 //! barrier fan-in→release), every [`crate::engine::Ctx::advance`] becomes
 //! an [`ObsSpan`] attached to its node, and recovery machinery emits
 //! [`ObsInstant`] markers (retries, duplicate replies, injected drops).
@@ -92,14 +92,12 @@ pub enum InstantKind {
     DupReply = 3,
     /// A tracked request exhausted its retry budget and was abandoned.
     GiveUp = 4,
-    /// The legacy owner-side injector dropped a reply.
-    InjectedDrop = 5,
     /// A rank's crash-stop failure fired (key = the crashed rank).
-    Crash = 6,
+    Crash = 5,
     /// A survivor took over a dead rank's key range (key = dead rank).
-    Takeover = 7,
+    Takeover = 6,
     /// State was restored from a checkpoint (key = the restored rank).
-    Restore = 8,
+    Restore = 7,
 }
 
 impl InstantKind {
@@ -111,7 +109,6 @@ impl InstantKind {
             InstantKind::Retry => "retry",
             InstantKind::DupReply => "dup_reply",
             InstantKind::GiveUp => "give_up",
-            InstantKind::InjectedDrop => "inj_drop",
             InstantKind::Crash => "crash",
             InstantKind::Takeover => "takeover",
             InstantKind::Restore => "restore",
@@ -126,7 +123,6 @@ impl InstantKind {
             "retry" => InstantKind::Retry,
             "dup_reply" => InstantKind::DupReply,
             "give_up" => InstantKind::GiveUp,
-            "inj_drop" => InstantKind::InjectedDrop,
             "crash" => InstantKind::Crash,
             "takeover" => InstantKind::Takeover,
             "restore" => InstantKind::Restore,
@@ -444,7 +440,8 @@ impl Obs {
         self.cur_node = NO_NODE;
     }
 
-    /// Busy time was booked (mirrors [`crate::trace::Trace::record`]).
+    /// Busy time was booked by [`crate::engine::Ctx::advance`] (or a stall
+    /// freeze); zero-length spans are skipped.
     pub fn on_advance(&mut self, rank: usize, start: SimTime, end: SimTime, cat: TimeCategory) {
         if start == end {
             return;
@@ -841,8 +838,9 @@ mod tests {
         o.gauge_add(MetricId::MsgsInFlight, GLOBAL_RANK, t(100), 1);
         o.on_push(2, EdgeKind::Message, t(100), t(300));
         o.end_dispatch(t(100));
-        // Rank 1 start dispatches (empty).
+        // Rank 1 start dispatches (empty: a zero-length advance is no span).
         o.begin_dispatch(1, t(0), 1, 1);
+        o.on_advance(1, t(0), t(0), TimeCategory::Sync);
         o.end_dispatch(t(0));
         // The message arrives on rank 1.
         o.begin_dispatch(1, t(300), 2, 0);
@@ -974,7 +972,6 @@ mod tests {
             InstantKind::Retry,
             InstantKind::DupReply,
             InstantKind::GiveUp,
-            InstantKind::InjectedDrop,
             InstantKind::Crash,
             InstantKind::Takeover,
             InstantKind::Restore,

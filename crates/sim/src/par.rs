@@ -151,7 +151,7 @@ impl RankLane {
 /// coordinator in serial order.
 #[derive(Debug)]
 pub(crate) enum Action<M> {
-    /// Busy-time span: replays the trace record and observability span.
+    /// Busy-time span: replays the observability span.
     /// (Ledger booking already happened lane-side.)
     Advance {
         start: SimTime,
@@ -340,17 +340,16 @@ pub(crate) struct LaneCtx<'a, M> {
     pub(crate) horizon: SimTime,
     pub(crate) tb: TieBreak,
     pub(crate) nranks: usize,
-    pub(crate) trace_on: bool,
     pub(crate) obs_on: bool,
     pub(crate) races_on: bool,
 }
 
 impl<M> LaneCtx<'_, M> {
     pub(crate) fn log_advance(&mut self, start: SimTime, end: SimTime, cat: TimeCategory) {
-        // The replayed effects are the trace span and the observability
-        // span; with both recorders off the action would replay to
-        // nothing, so don't pay for logging it.
-        if self.trace_on || self.obs_on {
+        // The replayed effect is the observability span; with the
+        // recorder off the action would replay to nothing, so don't pay
+        // for logging it.
+        if self.obs_on {
             self.actions.push(Action::Advance { start, end, cat });
         }
     }
@@ -476,9 +475,9 @@ fn run_chain<M: Clone, P: Program<M>>(
     tb: TieBreak,
     fault: Option<&FaultPlan>,
     nranks: usize,
-    flags: (bool, bool, bool),
+    flags: (bool, bool),
 ) -> Vec<Record<M>> {
-    let (trace_on, obs_on, races_on) = flags;
+    let (obs_on, races_on) = flags;
     let mut records: Vec<Record<M>> = Vec::with_capacity(items.len());
     let mut local: LocalQueue<M> = LocalQueue::new();
     let mut items = items.into_iter().peekable();
@@ -596,7 +595,6 @@ fn run_chain<M: Clone, P: Program<M>>(
                 horizon: h,
                 tb,
                 nranks,
-                trace_on,
                 obs_on,
                 races_on,
             },
@@ -656,9 +654,6 @@ fn replay_action<M: Clone>(
 ) -> usize {
     match action {
         Action::Advance { start, end, cat } => {
-            if let Some(trace) = &mut core.trace {
-                trace.record(rank, start, end, cat);
-            }
             if let Some(obs) = &mut core.obs {
                 obs.on_advance(rank, start, end, cat);
             }
@@ -802,9 +797,6 @@ fn replay_window<M: Clone>(
                 new_idx,
                 out,
             } => {
-                if let Some(trace) = &mut core.trace {
-                    trace.record(rank, at, thaw, TimeCategory::Recovery);
-                }
                 let new_seq = match out {
                     Some(payload) => core.queue.push(thaw, rank, payload),
                     None => core.queue.alloc_seq(),
@@ -881,11 +873,7 @@ where
     let nranks = core.nranks;
     let tb = core.queue.tie_break();
     let lookahead = SimTime::from_ns(core.net.params.intra_alpha_ns);
-    let flags = (
-        core.trace.is_some(),
-        core.obs.is_some(),
-        core.races.is_some(),
-    );
+    let flags = (core.obs.is_some(), core.races.is_some());
     let bounds = partition(nranks, threads, core.net.params.ranks_per_node);
     let nshards = bounds.len();
     let mut shard_of = vec![0usize; nranks];

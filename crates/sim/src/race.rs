@@ -1,13 +1,4 @@
-//! Execution tracing: per-rank busy/idle spans for timeline inspection,
-//! and the virtual-time race detector.
-//!
-//! When enabled on the engine, every [`crate::engine::Ctx::advance`] is
-//! recorded as a span `(rank, start, end, category)`. The collector is
-//! bounded; once full, further spans are dropped and counted. The
-//! [`render_timeline`] helper draws an ASCII Gantt chart — the quickest way
-//! to *see* a BSP barrier wall versus the async code's interleaving.
-//!
-//! # The virtual-time race detector
+//! The virtual-time race detector.
 //!
 //! The DES orders events by `(virtual time, insertion sequence)`. The
 //! sequence half is an *arbitrary* tie-break: two events delivered to one
@@ -23,73 +14,9 @@
 //! a handler that advances virtual time pushes later deliveries to a
 //! strictly later dispatch time, leaving the group.
 
-use crate::engine::TimeCategory;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// One recorded busy span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSpan {
-    /// Rank the span belongs to.
-    pub rank: usize,
-    /// Span start (virtual time).
-    pub start: SimTime,
-    /// Span end (virtual time).
-    pub end: SimTime,
-    /// What the rank was doing (ledger category index).
-    pub category: u8,
-}
-
-/// Bounded span collector.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    /// Recorded spans, in recording order.
-    pub spans: Vec<TraceSpan>,
-    /// Spans dropped after the capacity was reached.
-    pub dropped: u64,
-    capacity: usize,
-}
-
-impl Trace {
-    /// Creates a collector holding at most `capacity` spans.
-    pub fn new(capacity: usize) -> Trace {
-        Trace {
-            spans: Vec::new(),
-            dropped: 0,
-            capacity,
-        }
-    }
-
-    /// Records a span (drops it if at capacity).
-    pub fn record(&mut self, rank: usize, start: SimTime, end: SimTime, cat: TimeCategory) {
-        if start == end {
-            return;
-        }
-        if self.spans.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.spans.push(TraceSpan {
-            rank,
-            start,
-            end,
-            category: cat as u8,
-        });
-    }
-
-    /// Spans of one rank, in time order.
-    pub fn rank_spans(&self, rank: usize) -> Vec<TraceSpan> {
-        let mut v: Vec<TraceSpan> = self
-            .spans
-            .iter()
-            .filter(|s| s.rank == rank)
-            .copied()
-            .collect();
-        v.sort_by_key(|s| s.start);
-        v
-    }
-}
 
 /// One detected same-virtual-time conflict: two events dispatched to the
 /// same rank at the same virtual time touched the same state key, at least
@@ -270,142 +197,9 @@ pub fn render_races(d: &RaceDetector) -> String {
     out
 }
 
-/// Glyphs per [`TimeCategory`] index: Compute, Overhead, Comm, Sync,
-/// Recovery.
-const GLYPHS: [char; 5] = ['#', 'o', '~', '.', '!'];
-
-/// Renders an ASCII timeline: one row per rank, `width` columns spanning
-/// `[0, end]`. Busy spans paint their category glyph; idle stays blank.
-pub fn render_timeline(trace: &Trace, nranks: usize, end: SimTime, width: usize) -> String {
-    assert!(width >= 1);
-    let mut out = String::new();
-    let end_ns = end.as_ns().max(1);
-    for rank in 0..nranks {
-        let mut row = vec![' '; width];
-        for s in trace.rank_spans(rank) {
-            let a = (s.start.as_ns() * width as u64 / end_ns) as usize;
-            let b = ((s.end.as_ns() * width as u64).div_ceil(end_ns) as usize).min(width);
-            let glyph = GLYPHS.get(s.category as usize).copied().unwrap_or('?');
-            for cell in row.iter_mut().take(b).skip(a.min(width)) {
-                *cell = glyph;
-            }
-        }
-        out.push_str(&format!("r{rank:<3}|"));
-        out.extend(row);
-        out.push_str("|\n");
-    }
-    out.push_str("     '#' compute  'o' overhead  '~' comm  '.' sync  '!' recovery\n");
-    if trace.dropped > 0 {
-        out.push_str(&format!(
-            "WARNING: {} spans dropped (trace truncated); the blank regions above may have been busy\n",
-            trace.dropped
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_orders() {
-        let mut t = Trace::new(10);
-        t.record(
-            1,
-            SimTime::from_ns(50),
-            SimTime::from_ns(80),
-            TimeCategory::Comm,
-        );
-        t.record(
-            0,
-            SimTime::from_ns(0),
-            SimTime::from_ns(10),
-            TimeCategory::Compute,
-        );
-        t.record(
-            1,
-            SimTime::from_ns(10),
-            SimTime::from_ns(20),
-            TimeCategory::Sync,
-        );
-        let r1 = t.rank_spans(1);
-        assert_eq!(r1.len(), 2);
-        assert!(r1[0].start < r1[1].start);
-        assert!(t.rank_spans(2).is_empty());
-    }
-
-    #[test]
-    fn zero_length_spans_skipped() {
-        let mut t = Trace::new(10);
-        t.record(
-            0,
-            SimTime::from_ns(5),
-            SimTime::from_ns(5),
-            TimeCategory::Compute,
-        );
-        assert!(t.spans.is_empty());
-    }
-
-    #[test]
-    fn capacity_bounds_and_counts_drops() {
-        let mut t = Trace::new(2);
-        for i in 0..5u64 {
-            t.record(
-                0,
-                SimTime::from_ns(i * 10),
-                SimTime::from_ns(i * 10 + 5),
-                TimeCategory::Compute,
-            );
-        }
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.dropped, 3);
-    }
-
-    #[test]
-    fn timeline_renders_spans() {
-        let mut t = Trace::new(10);
-        let end = SimTime::from_ns(100);
-        t.record(
-            0,
-            SimTime::from_ns(0),
-            SimTime::from_ns(50),
-            TimeCategory::Compute,
-        );
-        t.record(
-            1,
-            SimTime::from_ns(50),
-            SimTime::from_ns(100),
-            TimeCategory::Comm,
-        );
-        let s = render_timeline(&t, 2, end, 10);
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[0].contains("#####"), "{}", lines[0]);
-        assert!(!lines[0].contains('~'));
-        assert!(lines[1].contains("~~~~~"), "{}", lines[1]);
-        assert!(lines[2].contains("compute"));
-        assert!(!s.contains("WARNING"), "no warning on a complete trace");
-    }
-
-    #[test]
-    fn timeline_warns_when_spans_were_dropped() {
-        let mut t = Trace::new(1);
-        for i in 0..4u64 {
-            t.record(
-                0,
-                SimTime::from_ns(i * 10),
-                SimTime::from_ns(i * 10 + 5),
-                TimeCategory::Compute,
-            );
-        }
-        assert_eq!(t.dropped, 3);
-        let s = render_timeline(&t, 1, SimTime::from_ns(40), 10);
-        let last = s.lines().last().unwrap();
-        assert!(
-            last.contains("WARNING: 3 spans dropped"),
-            "dropped spans must be surfaced, not silently absorbed: {s}"
-        );
-    }
 
     #[test]
     fn detector_flags_same_time_write_write() {
@@ -490,20 +284,5 @@ mod tests {
         assert!(s.contains("#5 (write)"), "{s}");
         assert!(s.contains("#6 (read)"), "{s}");
         assert!(s.contains("1 conflict(s)"), "{s}");
-    }
-
-    #[test]
-    fn timeline_clamps_to_width() {
-        let mut t = Trace::new(10);
-        t.record(
-            0,
-            SimTime::from_ns(90),
-            SimTime::from_ns(200),
-            TimeCategory::Sync,
-        );
-        let s = render_timeline(&t, 1, SimTime::from_ns(100), 10);
-        // Row is exactly "r0  |" + 10 cells + "|".
-        let row = s.lines().next().unwrap();
-        assert_eq!(row.len(), 5 + 10 + 1);
     }
 }

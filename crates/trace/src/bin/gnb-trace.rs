@@ -5,6 +5,7 @@
 //! gnb-trace export <FILE> [OUT.json]    Chrome-trace-event / Perfetto JSON (stdout default)
 //! gnb-trace critical-path <FILE>        virtual-time critical path by category
 //! gnb-trace diff <A> <B>                first divergence between two recordings
+//! gnb-trace timeline <FILE>             ASCII Gantt chart, one row per rank
 //! ```
 //!
 //! Exit codes: `0` success (for `diff`: traces identical), `1` analysis
@@ -19,8 +20,12 @@ USAGE: gnb-trace <COMMAND>\n\
   export <FILE> [OUT.json]   export as Chrome-trace/Perfetto JSON\n\
   critical-path <FILE>       critical-path attribution by category\n\
   diff <A> <B>               compare two recordings\n\
+  timeline <FILE>            ASCII timeline, one row per rank\n\
 \n\
 EXIT CODES: 0 ok/identical, 1 refused/different, 2 usage or I/O error\n";
+
+/// Columns of the `timeline` chart (fits a 120-column terminal).
+const TIMELINE_WIDTH: usize = 100;
 
 fn load(path: &str) -> Result<gnb_sim::obs::Obs, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -32,9 +37,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     match strs.as_slice() {
-        ["summarize", file] => match load(file) {
+        [cmd @ ("summarize" | "timeline"), file] => match load(file) {
             Ok(obs) => {
-                print!("{}", gnb_trace::summarize(&obs));
+                if *cmd == "summarize" {
+                    print!("{}", gnb_trace::summarize(&obs));
+                } else {
+                    print!("{}", gnb_trace::timeline(&obs, TIMELINE_WIDTH));
+                }
                 ExitCode::SUCCESS
             }
             Err(e) => {

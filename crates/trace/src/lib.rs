@@ -11,7 +11,9 @@
 //!   (re-exported engine: [`gnb_sim::export::chrome_trace_json`]);
 //! * [`critical_path_report`] — the virtual-time critical path attributed
 //!   by category ([`gnb_sim::cpath`]);
-//! * [`diff`] — first-divergence comparison of two recordings.
+//! * [`diff`] — first-divergence comparison of two recordings;
+//! * [`timeline`] — ASCII Gantt chart, one row per rank: the quickest way
+//!   to *see* a BSP barrier wall versus the async code's interleaving.
 //!
 //! Everything is deterministic: same recording in, same bytes out.
 
@@ -21,6 +23,7 @@ use gnb_sim::cpath::critical_path;
 use gnb_sim::engine::CATEGORIES;
 use gnb_sim::export::{chrome_trace_json, CATEGORY_NAMES};
 use gnb_sim::obs::{EdgeKind, InstantKind, MetricId, Obs, GLOBAL_RANK};
+use gnb_sim::{SimTime, TimeCategory};
 use std::fmt::Write as _;
 
 /// Parses a `.gnbtrace` file's text.
@@ -86,7 +89,6 @@ pub fn summarize(obs: &Obs) -> String {
             InstantKind::Retry,
             InstantKind::DupReply,
             InstantKind::GiveUp,
-            InstantKind::InjectedDrop,
             InstantKind::Crash,
             InstantKind::Takeover,
             InstantKind::Restore,
@@ -192,6 +194,60 @@ pub fn diff(a: &Obs, b: &Obs) -> String {
     out
 }
 
+/// Timeline glyphs per [`TimeCategory`] index: Compute, Overhead, Comm,
+/// Sync, Recovery.
+const GLYPHS: [char; CATEGORIES] = ['#', 'o', '~', '.', '!'];
+
+/// Renders an ASCII timeline: one row per rank, `width` columns spanning
+/// `[0, end_time]`. Busy spans paint their category glyph, stall freezes
+/// paint the recovery glyph, idle stays blank; where intervals share a
+/// cell the later-starting one wins.
+pub fn timeline(obs: &Obs, width: usize) -> String {
+    assert!(width >= 1);
+    let end_ns = u128::from(obs.end_time.as_ns().max(1));
+    let col = |t: SimTime| u128::from(t.as_ns()) * width as u128;
+    let mut intervals: Vec<(u32, SimTime, SimTime, u8)> = obs
+        .spans
+        .iter()
+        .map(|s| (s.rank, s.start, s.end, s.category))
+        .chain(
+            obs.stalls
+                .iter()
+                .map(|s| (s.rank, s.at, s.thaw, TimeCategory::Recovery as u8)),
+        )
+        .collect();
+    // Stable, so same-start intervals keep recording order.
+    intervals.sort_by_key(|&(_, start, ..)| start);
+    let mut rows = vec![vec![' '; width]; obs.nranks];
+    for (rank, start, end, category) in intervals {
+        // A parsed recording may name ranks its header does not declare.
+        let Some(row) = rows.get_mut(rank as usize) else {
+            continue;
+        };
+        let a = (col(start) / end_ns).min(width as u128) as usize;
+        let b = col(end).div_ceil(end_ns).min(width as u128) as usize;
+        let glyph = GLYPHS.get(category as usize).copied().unwrap_or('?');
+        for cell in row.iter_mut().take(b).skip(a) {
+            *cell = glyph;
+        }
+    }
+    let mut out = String::new();
+    for (rank, row) in rows.into_iter().enumerate() {
+        let _ = write!(out, "r{rank:<3}|");
+        out.extend(row);
+        out.push_str("|\n");
+    }
+    out.push_str("     '#' compute  'o' overhead  '~' comm  '.' sync  '!' recovery\n");
+    if obs.dropped_spans > 0 {
+        let _ = writeln!(
+            out,
+            "WARNING: {} spans dropped (trace truncated); the blank regions above may have been busy",
+            obs.dropped_spans
+        );
+    }
+    out
+}
+
 /// A metric's sample series rendered as TSV (`time_ns<TAB>value`) —
 /// feedstock for plotting a paper-style timeline.
 pub fn series_tsv(obs: &Obs, metric: MetricId, rank: u32) -> Option<String> {
@@ -207,7 +263,6 @@ pub fn series_tsv(obs: &Obs, metric: MetricId, rank: u32) -> Option<String> {
 mod tests {
     use super::*;
     use gnb_sim::obs::ObsConfig;
-    use gnb_sim::{SimTime, TimeCategory};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
@@ -299,5 +354,74 @@ mod tests {
         let tsv = series_tsv(&o, MetricId::BytesSent, GLOBAL_RANK).expect("series");
         assert_eq!(tsv, "time_ns\tvalue\n120\t512\n");
         assert!(series_tsv(&o, MetricId::MemCurrent, 0).is_none());
+    }
+
+    /// A recorder holding just the given `(rank, start, end, category)`
+    /// busy spans, finished at `end`.
+    fn span_obs(
+        max_spans: usize,
+        nranks: usize,
+        end: u64,
+        spans: &[(usize, u64, u64, TimeCategory)],
+    ) -> Obs {
+        let cfg = ObsConfig {
+            max_spans,
+            ..ObsConfig::default()
+        };
+        let mut o = Obs::new(cfg, nranks);
+        for &(rank, a, b, cat) in spans {
+            o.on_advance(rank, t(a), t(b), cat);
+        }
+        o.finish(t(end));
+        o
+    }
+
+    #[test]
+    fn timeline_paints_category_glyphs_and_leaves_idle_blank() {
+        let o = span_obs(
+            10,
+            2,
+            100,
+            &[
+                (0, 0, 50, TimeCategory::Compute),
+                (1, 50, 100, TimeCategory::Comm),
+            ],
+        );
+        let s = timeline(&o, 10);
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0], "r0  |#####     |");
+        assert_eq!(lines[1], "r1  |     ~~~~~|");
+        assert!(lines[2].contains("compute"));
+        assert!(!s.contains("WARNING"), "no warning on a complete trace");
+    }
+
+    #[test]
+    fn timeline_warns_when_spans_were_dropped() {
+        let spans: Vec<_> = (0..4u64)
+            .map(|i| (0, i * 10, i * 10 + 5, TimeCategory::Compute))
+            .collect();
+        let o = span_obs(1, 1, 40, &spans);
+        assert_eq!(o.dropped_spans, 3);
+        let s = timeline(&o, 10);
+        let last = s.lines().last().unwrap();
+        assert!(
+            last.contains("WARNING: 3 spans dropped"),
+            "dropped spans must be surfaced, not silently absorbed: {s}"
+        );
+    }
+
+    #[test]
+    fn timeline_clamps_to_width() {
+        let o = span_obs(10, 1, 100, &[(0, 90, 200, TimeCategory::Sync)]);
+        let s = timeline(&o, 10);
+        assert_eq!(s.lines().next().unwrap(), "r0  |         .|");
+    }
+
+    #[test]
+    fn timeline_paints_stall_intervals_as_recovery() {
+        let mut o = span_obs(10, 1, 100, &[(0, 0, 20, TimeCategory::Compute)]);
+        o.on_stall(0, t(40), t(70));
+        let s = timeline(&o, 10);
+        assert_eq!(s.lines().next().unwrap(), "r0  |##  !!!   |");
     }
 }

@@ -10,7 +10,7 @@ use gnb::core::driver::{run_sim, Algorithm, RunConfig};
 use gnb::core::workload::SimWorkload;
 use gnb::core::MachineConfig;
 use gnb::overlap::synth::{synthesize, SynthParams};
-use gnb::sim::trace::render_timeline;
+use gnb::trace::timeline;
 use gnb_genome::presets;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     );
 
     let cfg = RunConfig {
-        trace_capacity: 2_000_000,
+        obs: true,
         ..RunConfig::default()
     };
     for algo in [Algorithm::Bsp, Algorithm::Async] {
@@ -45,11 +45,7 @@ fn main() {
             r.rounds,
             r.breakdown.comm_fraction() * 100.0
         );
-        let trace = r.report.trace.as_ref().expect("tracing enabled");
-        print!(
-            "{}",
-            render_timeline(trace, machine.nranks(), r.report.end_time, 100)
-        );
+        print!("{}", timeline(r.obs().expect("obs enabled"), 100));
         println!();
     }
     println!("BSP shows synchronized exchange/compute phases; Async interleaves.");

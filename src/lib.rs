@@ -18,7 +18,7 @@
 //! | [`overlap`] | candidate generation, blind partition, task redistribution, task stores |
 //! | [`sim`] | discrete-event SPMD machine: network, collectives, barriers, memory |
 //! | [`core`] | the paper's BSP and async coordination codes + experiment drivers |
-//! | [`trace`] | observability-trace analysis: summarize, Perfetto export, critical path |
+//! | [`trace`] | views of an observability recording: summarize, Perfetto export, critical path, ASCII timeline |
 //!
 //! ## Quickstart
 //!

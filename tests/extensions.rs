@@ -10,6 +10,7 @@ use gnb::core::workload::{BalanceStrategy, SimWorkload};
 use gnb::core::{CostModel, MachineConfig};
 use gnb::genome::presets;
 use gnb::overlap::synth::{synthesize, SynthParams};
+use gnb::sim::FaultConfig;
 
 fn human_like(nranks: usize, seed: u64) -> SimWorkload {
     let preset = presets::human_ccs().scaled(2048);
@@ -52,12 +53,23 @@ fn failure_injection_through_driver() {
     let w = human_like(machine.nranks(), 6);
     let reliable = run_sim(&w, &machine, Algorithm::Async, &RunConfig::default());
     let lossy_cfg = RunConfig {
-        rpc_drop_period: 5,
+        fault: FaultConfig {
+            drop_prob: 0.1,
+            ..FaultConfig::default()
+        },
         rpc_timeout_ns: 200_000,
         ..RunConfig::default()
     };
     let lossy = run_sim(&w, &machine, Algorithm::Async, &lossy_cfg);
     assert_eq!(reliable.task_checksum, lossy.task_checksum);
+    assert!(
+        lossy.faults.msgs_dropped > 0,
+        "injection must actually fire"
+    );
+    assert!(
+        lossy.recovery.retries >= lossy.faults.msgs_dropped,
+        "every dropped message forces a retry"
+    );
     assert!(lossy.runtime() > reliable.runtime());
 }
 
@@ -114,15 +126,15 @@ fn traced_run_reports_spans() {
     let machine = MachineConfig::cori_knl(1).with_cores_per_node(4);
     let w = human_like(machine.nranks(), 8);
     let cfg = RunConfig {
-        trace_capacity: 100_000,
+        obs: true,
         ..RunConfig::default()
     };
     let r = run_sim(&w, &machine, Algorithm::Bsp, &cfg);
-    let trace = r.report.trace.as_ref().expect("trace on");
-    assert!(!trace.spans.is_empty());
+    let obs = r.obs().expect("obs on");
+    assert!(!obs.spans.is_empty());
     // Every span belongs to a valid rank and has positive extent.
-    for s in &trace.spans {
-        assert!(s.rank < machine.nranks());
+    for s in &obs.spans {
+        assert!((s.rank as usize) < machine.nranks());
         assert!(s.end > s.start);
     }
 }

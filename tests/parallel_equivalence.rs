@@ -230,12 +230,11 @@ fn assert_parallel_equivalence(
     }
 }
 
-/// Full-surface observation config: trace, obs and race detection all on,
-/// so the equivalence assertion covers every recorder.
+/// Full-surface observation config: obs and race detection both on, so
+/// the equivalence assertion covers every recorder.
 fn observed(cfg: RunConfig) -> RunConfig {
     RunConfig {
         obs: true,
-        trace_capacity: 1 << 14,
         detect_races: true,
         ..cfg
     }
