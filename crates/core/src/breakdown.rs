@@ -194,6 +194,7 @@ mod tests {
                 mk(3_900_000_000, 100_000_000, 0, 0),
             ],
             events: 2,
+            deferrals: 0,
             faults: FaultStats::default(),
             races: None,
             obs: None,
@@ -246,6 +247,7 @@ mod tests {
             end_time: SimTime::ZERO,
             ranks: vec![],
             events: 0,
+            deferrals: 0,
             faults: FaultStats::default(),
             races: None,
             obs: None,

@@ -84,6 +84,8 @@ pub(crate) struct EngineCore<M> {
     pub(crate) mem: MemTracker,
     pub(crate) finish: Vec<SimTime>,
     pub(crate) events_processed: u64,
+    /// Busy-rank and stall deferrals (one per `requeue`).
+    pub(crate) deferrals: u64,
     /// Fault-injection plan (None = reliable machine).
     pub(crate) fault: Option<FaultPlan>,
     /// Global send sequence number (drives per-message fault decisions).
@@ -685,6 +687,11 @@ pub struct SimReport {
     pub ranks: Vec<RankReport>,
     /// Total events processed (a DES health metric).
     pub events: u64,
+    /// Times a popped event was re-queued instead of dispatched: its rank
+    /// was still busy, or frozen by an injected stall. Engine work that
+    /// `events` does not show — a backlog of k requests at one busy rank
+    /// is deferred k + (k−1) + … + 1 times before it drains.
+    pub deferrals: u64,
     /// Injected-fault counters (all zero on a reliable machine).
     pub faults: FaultStats,
     /// Race-detector results, if detection was enabled.
@@ -738,6 +745,7 @@ impl<M> Engine<M> {
                 mem: MemTracker::new(nranks),
                 finish: vec![SimTime::ZERO; nranks],
                 events_processed: 0,
+                deferrals: 0,
                 fault: None,
                 msg_seq: 0,
                 dst_counts: vec![0; nranks],
@@ -890,6 +898,7 @@ impl<M> Engine<M> {
                 })
                 .collect(),
             events: self.core.events_processed,
+            deferrals: self.core.deferrals,
         }
     }
 }
@@ -943,6 +952,7 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
         // payload stays put in the arena — deferral costs one heap
         // entry, no payload churn.
         let new_seq = core.queue.requeue(ev, busy);
+        core.deferrals += 1;
         if let Some(obs) = &mut core.obs {
             obs.on_requeue(ev.seq, new_seq);
         }
@@ -966,6 +976,7 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
                 // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
                 core.finish[r] = core.finish[r].max(thaw);
                 let new_seq = core.queue.requeue(ev, thaw);
+                core.deferrals += 1;
                 if let Some(obs) = &mut core.obs {
                     // The freeze happens outside any handler: the
                     // span lands on no node, plus a stall interval

@@ -787,6 +787,7 @@ fn replay_window<M: Clone>(
                     set_remap(&mut streams[i].remap, idx, new_seq);
                 }
                 virtual_len += 1;
+                core.deferrals += 1;
                 if let Some(obs) = &mut core.obs {
                     obs.on_requeue(seq, new_seq);
                 }
@@ -806,6 +807,7 @@ fn replay_window<M: Clone>(
                     set_remap(&mut streams[i].remap, idx, new_seq);
                 }
                 virtual_len += 1;
+                core.deferrals += 1;
                 if let Some(obs) = &mut core.obs {
                     obs.on_advance(rank, at, thaw, TimeCategory::Recovery);
                     obs.on_stall(rank, at, thaw);

@@ -22,6 +22,9 @@ struct Golden {
     ledger_ns: [u64; 5],
     unclassified_ns: u64,
     events: u64,
+    /// Busy-rank + stall deferrals (`SimReport::deferrals`): pinned before
+    /// the two-level event queue landed, and must not move with it.
+    deferrals: u64,
     tasks_done: u64,
     task_checksum: u64,
     rounds: usize,
@@ -48,6 +51,7 @@ fn observe(algo: Algorithm) -> Golden {
         ledger_ns,
         unclassified_ns,
         events: res.events,
+        deferrals: res.report.deferrals,
         tasks_done: res.tasks_done,
         task_checksum: res.task_checksum,
         rounds: res.rounds,
@@ -65,6 +69,7 @@ fn bsp_report_matches_pre_refactor_golden() {
         ledger_ns: [33_051_535_668, 165_020_000, 7_751_736, 13_385_139_708, 0],
         unclassified_ns: 0,
         events: 24,
+        deferrals: 0,
         tasks_done: 8251,
         task_checksum: 4_127_439_519_545_553_733,
         rounds: 1,
@@ -83,6 +88,7 @@ fn async_report_matches_pre_refactor_golden() {
         ledger_ns: [33_051_535_668, 373_900_500, 0, 13_384_656_833, 0],
         unclassified_ns: 983,
         events: 2953,
+        deferrals: 101_019,
         tasks_done: 8251,
         task_checksum: 4_127_439_519_545_553_733,
         rounds: 1,
