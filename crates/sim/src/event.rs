@@ -1,26 +1,50 @@
-//! The event queue: a deterministic min-heap over `(time, sequence)`.
+//! The event queue: a deterministic priority queue over `(time, sequence)`.
 //!
 //! # Zero-churn layout
 //!
-//! Payloads live in an **arena** (`slots` + free list); the binary heap
-//! orders small `Copy` entries that reference a slot by index. This keeps
-//! the hot engine loop allocation-free in the steady state:
+//! Payloads live in an **arena** (`slots` + free list); the queue orders
+//! small `Copy` entries that reference a slot by index. This keeps the hot
+//! engine loop allocation-free in the steady state:
 //!
-//! * a deferred event (busy/stalled rank) is re-queued by pushing a fresh
-//!   heap entry for the *same* slot — the payload is never moved, cloned,
-//!   or re-allocated;
+//! * a deferred event (busy/stalled rank) is re-queued as a fresh entry
+//!   for the *same* slot — the payload is never moved, cloned, or
+//!   re-allocated;
 //! * a dispatched event returns its slot to the free list, so the next
 //!   `push` reuses it instead of growing the arena;
-//! * heap sift operations move 40-byte `Copy` entries, not payloads.
+//! * heap sift operations move 24-byte `Copy` entries, not payloads.
 //!
 //! The arena therefore grows to the peak number of *concurrent* pending
 //! events and stays there ([`EventQueue::slot_count`]), no matter how many
 //! events flow through.
+//!
+//! # Two levels: the main heap and per-destination lanes
+//!
+//! Fresh events ([`EventQueue::push`]) go into one global binary heap.
+//! Deferred events ([`EventQueue::requeue`]) do not re-enter it: a busy
+//! rank re-defers its *whole* backlog after every handler it runs (a
+//! backlog of k requests costs k + (k−1) + … + 1 deferrals), and in the
+//! asynchronous strategies that is 13–28 deferrals per dispatched event.
+//! Each deferral is appended to its destination's FIFO **lane** instead.
+//! A lane is ascending by `(time, order(seq))` by construction — a rank's
+//! `busy_until` and the sequence counter are both monotone — so only its
+//! front can be the global minimum, and a small `heads` heap holds one
+//! copy of each non-empty lane's front. [`EventQueue::pop_entry`] takes
+//! the smaller of the two heaps' tops; advancing a lane replaces its
+//! `heads` entry in place. A deferral thus costs a `VecDeque` append plus
+//! a sift in a heap of at most `nranks` entries, not a pop and a push
+//! through the heap of every pending event.
+//!
+//! An entry that would break its lane's order ([`TieBreak::Lifo`] at an
+//! equal time, or a caller that re-queues to an earlier time) goes to the
+//! main heap, which is correct for any entry. Either way `requeue` assigns
+//! the next sequence number, so pop order *and* sequence numbers are those
+//! of a single heap.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What an event delivers to a rank. Generic over the application message
 /// type `M` (each simulation defines its own enum).
@@ -94,7 +118,9 @@ impl TieBreak {
     /// The heap ordering key for a sequence number under this policy:
     /// events sharing a virtual time pop in ascending `order(seq)`. This is
     /// the single definition of the tie-break; the parallel engine's
-    /// shard-local merge uses it to reproduce the serial pop order.
+    /// shard-local merge uses it to reproduce the serial pop order. It is
+    /// its own inverse (`order(order(seq)) == seq`), which is how the queue
+    /// recovers a sequence number from a stored key.
     pub fn order(self, seq: u64) -> u64 {
         match self {
             TieBreak::Fifo => seq,
@@ -103,14 +129,15 @@ impl TieBreak {
     }
 }
 
-/// Heap entry: `key` bakes in the tie-break policy chosen at push time so
-/// the `BinaryHeap` ordering stays a plain lexicographic compare. `Copy` —
-/// the payload stays in the arena, referenced by `slot`.
+/// Queue entry, shared by the main heap, the lanes and `heads`:
+/// `key = (time, order(seq))` bakes in the tie-break policy chosen at push
+/// time so the ordering stays a plain lexicographic compare, and the
+/// sequence number is recovered from it ([`TieBreak::order`] is an
+/// involution). 24 bytes, `Copy` — the payload stays in the arena,
+/// referenced by `slot`.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: (SimTime, u64),
-    time: SimTime,
-    seq: u64,
     dst: u32,
     slot: u32,
 }
@@ -151,7 +178,15 @@ pub struct QueuedEvent {
 /// Deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<M> {
+    /// Fresh events, and any re-queued entry that would break its lane's
+    /// order.
     heap: BinaryHeap<HeapEntry>,
+    /// Deferred entries by destination, each lane ascending by key.
+    lanes: Vec<VecDeque<HeapEntry>>,
+    /// A copy of the front entry of every non-empty lane.
+    heads: BinaryHeap<HeapEntry>,
+    /// Entries held in `lanes`.
+    in_lanes: usize,
     /// Payload arena; `None` slots are listed in `free`.
     slots: Vec<Option<EventPayload<M>>>,
     free: Vec<u32>,
@@ -163,6 +198,9 @@ impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            heads: BinaryHeap::new(),
+            in_lanes: 0,
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -199,7 +237,7 @@ impl<M> EventQueue<M> {
     /// Sets the equal-time ordering policy (before any events are queued).
     pub fn set_tie_break(&mut self, tb: TieBreak) {
         assert!(
-            self.heap.is_empty(),
+            self.is_empty(),
             "tie-break policy must be set before events are queued"
         );
         self.tie_break = tb;
@@ -224,23 +262,22 @@ impl<M> EventQueue<M> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.push_slot(time, dst, slot)
+        let (seq, entry) = self.new_entry(time, dst, slot);
+        self.heap.push(entry);
+        seq
     }
 
-    /// Pushes a heap entry for an already-filled slot, assigning the next
-    /// sequence number (the shared tail of `push` and `requeue`).
-    fn push_slot(&mut self, time: SimTime, dst: usize, slot: u32) -> u64 {
+    /// Assigns the next sequence number to an already-filled slot and
+    /// builds its entry (the shared head of `push` and `requeue`).
+    fn new_entry(&mut self, time: SimTime, dst: usize, slot: u32) -> (u64, HeapEntry) {
         debug_assert!(dst < u32::MAX as usize, "rank id out of range");
         let seq = self.alloc_seq();
-        let order = self.tie_break.order(seq);
-        self.heap.push(HeapEntry {
-            key: (time, order),
-            time,
-            seq,
+        let entry = HeapEntry {
+            key: (time, self.tie_break.order(seq)),
             dst: dst as u32,
             slot,
-        });
-        seq
+        };
+        (seq, entry)
     }
 
     /// Burns the next sequence number without enqueueing anything. The
@@ -255,18 +292,55 @@ impl<M> EventQueue<M> {
         seq
     }
 
+    /// `true` when the earliest pending entry is a lane front (in `heads`)
+    /// rather than the top of the main heap. Keys are unique, so there is
+    /// no tie to break.
+    fn lane_is_next(&self) -> bool {
+        match (self.heap.peek(), self.heads.peek()) {
+            (Some(h), Some(l)) => l.key < h.key,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        }
+    }
+
     /// Virtual time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let next = if self.lane_is_next() {
+            self.heads.peek()
+        } else {
+            self.heap.peek()
+        };
+        next.map(|e| e.key.0)
     }
 
     /// Pops the earliest event as an arena handle. The payload stays in
-    /// its slot until [`EventQueue::resolve`] (or returns to the heap via
+    /// its slot until [`EventQueue::resolve`] (or returns to the queue via
     /// [`EventQueue::requeue`]).
     pub fn pop_entry(&mut self) -> Option<QueuedEvent> {
-        self.heap.pop().map(|e| QueuedEvent {
-            time: e.time,
-            seq: e.seq,
+        let e = if self.lane_is_next() {
+            let mut head = self.heads.peek_mut()?;
+            let e = *head;
+            // Drop the lane's front (it is `e`) and promote the entry
+            // behind it: overwriting the top of `heads` sifts once, where
+            // a pop and a push would sift twice.
+            let next = self.lanes.get_mut(e.dst as usize).and_then(|lane| {
+                lane.pop_front();
+                lane.front().copied()
+            });
+            match next {
+                Some(n) => *head = n,
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+            self.in_lanes -= 1;
+            e
+        } else {
+            self.heap.pop()?
+        };
+        Some(QueuedEvent {
+            time: e.key.0,
+            seq: self.tie_break.order(e.key.1),
             dst: e.dst as usize,
             slot: e.slot,
         })
@@ -276,20 +350,36 @@ impl<M> EventQueue<M> {
     /// payload. The event gets a fresh sequence number, exactly as if its
     /// payload had been re-pushed — deferred events sort behind events
     /// already queued for the same instant (the engine's documented
-    /// busy-rank semantics) — but the payload is neither moved nor cloned.
-    /// Returns the fresh sequence number.
+    /// busy-rank semantics) — but the payload is neither moved nor cloned,
+    /// and the entry joins its destination's lane instead of the main heap
+    /// (see the module docs). Returns the fresh sequence number.
     pub fn requeue(&mut self, ev: QueuedEvent, time: SimTime) -> u64 {
         debug_assert!(
-            // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push_slot into the same slots vector and slots never shrinks")
+            // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
             self.slots[ev.slot as usize].is_some(),
             "requeueing a resolved event"
         );
-        self.push_slot(time, ev.dst, ev.slot)
+        let (seq, entry) = self.new_entry(time, ev.dst, ev.slot);
+        if self.lanes.len() <= ev.dst {
+            self.lanes.resize_with(ev.dst + 1, VecDeque::new);
+        }
+        match self.lanes.get_mut(ev.dst) {
+            Some(lane) if lane.back().is_none_or(|back| back.key < entry.key) => {
+                if lane.is_empty() {
+                    self.heads.push(entry);
+                }
+                lane.push_back(entry);
+                self.in_lanes += 1;
+            }
+            // Out of lane order: the main heap takes any entry.
+            _ => self.heap.push(entry),
+        }
+        seq
     }
 
     /// Takes a popped event's payload and recycles its slot.
     pub fn resolve(&mut self, ev: QueuedEvent) -> EventPayload<M> {
-        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push_slot into the same slots vector and slots never shrinks")
+        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
         let p = self.slots[ev.slot as usize]
             .take()
             // gnb-lint: allow(panic-path, reason = "the queue hands each popped entry out exactly once; resolving twice is queue corruption and must abort deterministically")
@@ -313,12 +403,12 @@ impl<M> EventQueue<M> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.in_lanes
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.heads.is_empty()
     }
 
     /// Size of the payload arena: the peak number of concurrent pending
@@ -446,6 +536,73 @@ mod tests {
             }
         );
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn requeues_fill_a_lane_not_the_main_heap() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..1_000u64 {
+            q.push(
+                SimTime::from_ns(i),
+                7,
+                EventPayload::Message { src: 0, msg: i },
+            );
+        }
+        q.push(SimTime::from_ns(5_000), 3, EventPayload::Start);
+        // A busy rank 7: everything addressed to it is deferred, in pop
+        // order, to the instant it frees up.
+        for _ in 0..1_000 {
+            let e = q.pop_entry().unwrap();
+            q.requeue(e, SimTime::from_ns(2_000));
+        }
+        assert_eq!(q.heap.len(), 1, "only the undeferred event is in the heap");
+        assert_eq!(q.heads.len(), 1, "one lane, one head");
+        assert_eq!(q.len(), 1_001, "len counts the lane");
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(2_000)));
+        // A second round of deferrals (the rank served one request and is
+        // busy again) never touches the main heap either.
+        let first = q.pop().unwrap();
+        assert_eq!((first.dst, first.seq), (7, 1_001));
+        for _ in 0..999 {
+            let e = q.pop_entry().unwrap();
+            q.requeue(e, SimTime::from_ns(3_000));
+        }
+        assert_eq!((q.heap.len(), q.heads.len(), q.len()), (1, 1, 1_000));
+        // Lane order is deferral order; the heap's event comes last.
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
+        let want: Vec<u64> = (2_001..3_000).chain([1_000]).collect();
+        assert_eq!(seqs, want);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn out_of_order_requeue_falls_back_to_the_heap() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for _ in 0..3 {
+            q.push(SimTime::ZERO, 0, EventPayload::Start);
+        }
+        let (a, b, c) = (
+            q.pop_entry().unwrap(),
+            q.pop_entry().unwrap(),
+            q.pop_entry().unwrap(),
+        );
+        q.requeue(a, SimTime::from_ns(20)); // seq 3, opens the lane
+        q.requeue(b, SimTime::from_ns(10)); // seq 4, earlier than the lane's back
+        q.requeue(c, SimTime::from_ns(20)); // seq 5, in order again
+        assert_eq!((q.heap.len(), q.len()), (1, 3));
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.time.as_ns(), e.seq))).collect();
+        assert_eq!(order, vec![(10, 4), (20, 3), (20, 5)]);
+    }
+
+    #[test]
+    fn entries_are_24_bytes_and_order_is_its_own_inverse() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 24);
+        for tb in [TieBreak::Fifo, TieBreak::Lifo] {
+            for seq in [0, 1, 12_345, u64::MAX - 1, u64::MAX] {
+                assert_eq!(tb.order(tb.order(seq)), seq);
+            }
+        }
     }
 
     #[test]
