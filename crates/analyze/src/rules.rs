@@ -39,11 +39,9 @@ pub enum Rule {
     AmbientRng,
     /// `fold` accumulating a float in source order.
     FloatFoldOrder,
-    /// `std::thread` / `Mutex` / `Atomic*` / channels outside the approved
-    /// parallel-engine module. Shared-state concurrency anywhere else makes
-    /// effect order scheduler-dependent, which breaks the bit-identical
-    /// replay contract; the one sanctioned module funnels every shared
-    /// effect through a deterministic merge.
+    /// `std::thread` / `Mutex` / `Atomic*` / channels anywhere in the
+    /// determinism core. Shared-state concurrency makes effect order
+    /// scheduler-dependent, which breaks the bit-identical replay contract.
     ThreadPrimitives,
     /// Coordination-protocol contract violation (semantic pass): a strategy
     /// issuing tracked requests without real `on_reply`/`on_give_up`
@@ -139,10 +137,9 @@ impl Rule {
                  order-insensitive reduction"
             }
             Rule::ThreadPrimitives => {
-                "std::thread / Mutex / RwLock / Condvar / mpsc / Atomic* outside the \
-                 approved parallel-engine module (crates/sim/src/par.rs): shared-state \
-                 concurrency makes effect order scheduler-dependent, breaking \
-                 bit-identical replay"
+                "std::thread / Mutex / RwLock / Condvar / mpsc / Atomic* in the \
+                 determinism core: shared-state concurrency makes effect order \
+                 scheduler-dependent, breaking bit-identical replay"
             }
             Rule::ProtocolContract => {
                 "the coordination-protocol contract: tracked-request issuers need \
@@ -467,7 +464,7 @@ fn scan_ambient_rng(path: &str, toks: &[Token], findings: &mut Vec<Finding>) {
 /// channel modules (`mpsc`), `Atomic*` types, and `std::thread` paths
 /// (`std::thread::...` or `thread::spawn`-style calls after a use). The
 /// scanner is purely lexical; [`crate::walk`] keeps the rule scoped to the
-/// determinism core and carves out the approved parallel-engine module.
+/// determinism core.
 fn scan_thread_primitives(path: &str, toks: &[Token], findings: &mut Vec<Finding>) {
     const THREAD_FNS: [&str; 6] = ["spawn", "scope", "sleep", "park", "yield_now", "Builder"];
     for i in 0..toks.len() {
@@ -500,8 +497,8 @@ fn scan_thread_primitives(path: &str, toks: &[Token], findings: &mut Vec<Finding
                 t,
                 format!(
                     "`{what}` is a shared-state threading primitive; determinism-critical \
-                     code must stay single-threaded outside the approved parallel-engine \
-                     module (effect order becomes scheduler-dependent otherwise)"
+                     code must stay single-threaded (effect order becomes \
+                     scheduler-dependent otherwise)"
                 ),
             );
         }

@@ -48,14 +48,6 @@ const SEMANTIC_SCOPE: [&str; 2] = ["crates/core/src/", "crates/sim/src/"];
 /// Crates exempt from audit rules (annotation syntax still checked).
 const EXEMPT: [&str; 1] = ["crates/bench/"];
 
-/// The one module allowed to use threading primitives: the conservative-
-/// parallel engine, whose worker shards communicate by value over channels
-/// and whose every global effect goes through a deterministic merge-replay
-/// (see its module docs). `thread-primitives` is out of scope here — and
-/// *only* here — so any new concurrency elsewhere in the determinism core
-/// needs a reasoned waiver and shows up in the baseline ratchet.
-const APPROVED_PARALLEL: [&str; 1] = ["crates/sim/src/par.rs"];
-
 /// The rules that apply to a workspace-relative path (empty = only
 /// annotation-syntax checking).
 pub fn rules_for(rel: &str) -> Vec<Rule> {
@@ -63,11 +55,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
         return Vec::new();
     }
     if DETERMINISM_CORE.iter().any(|p| rel.starts_with(p)) {
-        let mut rules = AUDIT_RULES.to_vec();
-        if APPROVED_PARALLEL.contains(&rel) {
-            rules.retain(|r| *r != Rule::ThreadPrimitives);
-        }
-        return rules;
+        return AUDIT_RULES.to_vec();
     }
     vec![Rule::WallClock, Rule::AmbientEnv, Rule::AmbientRng]
 }
@@ -299,28 +287,22 @@ mod tests {
     }
 
     #[test]
-    fn thread_primitives_scoped_to_core_minus_approved_module() {
+    fn thread_primitives_scoped_to_core() {
         // In scope across the determinism core...
         assert!(rules_for("crates/sim/src/engine.rs").contains(&Rule::ThreadPrimitives));
         assert!(rules_for("crates/core/src/driver.rs").contains(&Rule::ThreadPrimitives));
-        // ...except the one approved parallel-engine module, where the
-        // rest of the contract still holds.
-        let par = rules_for("crates/sim/src/par.rs");
-        assert!(!par.contains(&Rule::ThreadPrimitives));
-        assert!(par.contains(&Rule::UnorderedCollections));
-        assert!(par.contains(&Rule::PanicPath));
-        // Outside the core the rule is not in scope at all.
+        // ...and not in scope at all outside it.
         assert!(!rules_for("crates/align/src/batch.rs").contains(&Rule::ThreadPrimitives));
     }
 
     #[test]
-    fn thread_primitives_fire_in_core_not_in_approved_module() {
+    fn thread_primitives_fire_in_core_only() {
         let src = "use std::sync::mpsc;\nstd::thread::scope(|s| {});";
         let core = scan_source("crates/sim/src/engine.rs", src);
         assert_eq!(core.len(), 2, "{core:?}");
         assert!(core.iter().all(|f| f.rule == Rule::ThreadPrimitives));
         assert!(core.iter().all(|f| f.level == Level::Deny));
-        assert!(scan_source("crates/sim/src/par.rs", src).is_empty());
+        assert!(scan_source("crates/align/src/batch.rs", src).is_empty());
     }
 
     #[test]

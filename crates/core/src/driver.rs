@@ -7,7 +7,7 @@ use crate::breakdown::RuntimeBreakdown;
 use crate::bsp::{plan_bsp, BspStrategy};
 use crate::cost::CostModel;
 use crate::machine::MachineConfig;
-use crate::runtime::{CoordinationStrategy, RankRuntime, RuntimeConfig, StrategyMsg};
+use crate::runtime::{CoordinationStrategy, RankRuntime, RuntimeConfig};
 pub use crate::runtime::{CrashResponse, RecoveryStats};
 use crate::workload::SimWorkload;
 use gnb_sim::ckpt::{CkptParams, CkptStore};
@@ -16,8 +16,9 @@ use gnb_sim::fault::{CrashPlan, FaultConfig, FaultPlan, FaultStats};
 use gnb_sim::race::RaceDetector;
 use gnb_sim::{Engine, TieBreak};
 use serde::{Deserialize, Serialize};
-// gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which coordination code to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,11 +138,11 @@ pub struct RunConfig {
     /// recording does not perturb the timeline (pinned by
     /// `tests/observer_invariance.rs`), but the record buffers cost memory.
     pub obs: bool,
-    /// Worker shards of the conservative-parallel engine (1 = the serial
-    /// reference loop). Any value produces byte-identical reports — the
-    /// parallel mode merge-replays shard effects in exact serial order
-    /// (pinned by `tests/parallel_equivalence.rs`) — so this knob trades
-    /// host cores for wall-clock only.
+    /// Accepted and ignored. The sharded engine mode this once selected
+    /// is gone (DESIGN.md "Why the DES has one mode"); every value yields
+    /// the byte-identical report the field always promised (pinned by
+    /// `tests/parallel_equivalence.rs`). Kept only because the fenced
+    /// benchmark names it, until ROADMAP 5(b) removes it.
     pub threads: usize,
 }
 
@@ -343,10 +344,8 @@ struct Host<'a> {
     fault_plan: Arc<FaultPlan>,
     /// The shared stable-storage checkpoint store, created only when
     /// crashes are scheduled: crash-free runs take no checkpoints and stay
-    /// byte-identical to pre-checkpoint builds. The serial engine takes
-    /// the lock uncontended — it only satisfies the shared-ownership type.
-    // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-    ckpt_store: Option<Arc<Mutex<CkptStore>>>,
+    /// byte-identical to pre-checkpoint builds.
+    ckpt_store: Option<Rc<RefCell<CkptStore>>>,
     /// Ranks the crash schedule kills, ascending. In takeover mode their
     /// work is completed by successors; their own partial counters are
     /// excluded so nothing double-counts.
@@ -362,15 +361,10 @@ impl Host<'_> {
     /// state died with them); their plan checksums count under takeover —
     /// the successor completes exactly that task set — and are excluded
     /// under degrade.
-    fn run<S>(
+    fn run<S: CoordinationStrategy>(
         &self,
         strategy: impl Fn(usize) -> S,
-    ) -> (SimReport, u64, u64, RecoveryStats, Option<RunError>)
-    where
-        S: CoordinationStrategy + Send,
-        S::Req: Send,
-        StrategyMsg<S>: Clone + Send,
-    {
+    ) -> (SimReport, u64, u64, RecoveryStats, Option<RunError>) {
         let (machine, cfg, dead) = (self.machine, self.cfg, &self.dead_ranks);
         let nranks = machine.nranks();
         let rt_cfg = RuntimeConfig::from_run(machine, cfg);
@@ -392,7 +386,6 @@ impl Host<'_> {
         // identical (see `Engine::with_event_capacity`).
         let mut engine = Engine::new(nranks, machine.net)
             .with_event_capacity(8 * nranks)
-            .with_threads(cfg.threads)
             .with_tie_break(cfg.tie_break);
         if cfg.fault.is_active() || !cfg.crash.is_empty() {
             engine = engine.with_faults(FaultPlan::clone(&self.fault_plan));
@@ -463,8 +456,7 @@ pub fn try_run_sim(
         machine,
         cfg,
         fault_plan: Arc::new(fault_plan),
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        ckpt_store: (!cfg.crash.is_empty()).then(|| Arc::new(Mutex::new(CkptStore::new(nranks)))),
+        ckpt_store: (!cfg.crash.is_empty()).then(|| Rc::new(RefCell::new(CkptStore::new(nranks)))),
         dead_ranks,
     };
     let (outcome, rounds) = match algo {

@@ -46,8 +46,9 @@ use gnb_sim::engine::{Ctx, Program, TimeCategory};
 use gnb_sim::fault::FaultPlan;
 use gnb_sim::obs::InstantKind;
 use gnb_sim::SimTime;
-// gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Base of the namespaced key range used for takeover re-fetches: a
 /// successor re-requesting an adopted shard's remote read `r` (originally
@@ -355,13 +356,9 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         self.ctx.advance(cost, TimeCategory::Overhead);
         let epoch = self.svc.ckpt_epoch;
         self.svc.ckpt_epoch += 1;
-        // gnb-lint: allow(panic-path, reason = "single-threaded simulation: the ckpt store mutex can never be poisoned because no thread panics while holding it")
-        store.lock().expect("ckpt store poisoned").record(
-            self.svc.rank,
-            epoch,
-            self.ctx.now(),
-            bytes,
-        );
+        store
+            .borrow_mut()
+            .record(self.svc.rank, epoch, self.ctx.now(), bytes);
     }
 
     /// Reads `dead`'s latest checkpoint from stable storage, booking the
@@ -370,12 +367,7 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
     /// completed a checkpoint (the successor then replays from scratch).
     pub fn ckpt_restore(&mut self, dead: usize) -> Option<Vec<u8>> {
         let store = self.svc.ckpt_store.as_ref()?;
-        let bytes = store
-            .lock()
-            // gnb-lint: allow(panic-path, reason = "single-threaded simulation: the ckpt store mutex can never be poisoned because no thread panics while holding it")
-            .expect("ckpt store poisoned")
-            .latest(dead)
-            .map(|rec| rec.bytes.clone())?;
+        let bytes = store.borrow().latest(dead).map(|rec| rec.bytes.clone())?;
         let cost = self.svc.cfg.ckpt.io_cost(bytes.len());
         self.ctx.advance(cost, TimeCategory::Recovery);
         self.svc.counters.restores += 1;
@@ -639,8 +631,7 @@ impl<S: CoordinationStrategy> RankRuntime<S> {
         rank: usize,
         cfg: RuntimeConfig,
         fault: Arc<FaultPlan>,
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        ckpt_store: Option<Arc<Mutex<CkptStore>>>,
+        ckpt_store: Option<Rc<RefCell<CkptStore>>>,
     ) -> RankRuntime<S> {
         RankRuntime {
             strategy,

@@ -16,9 +16,10 @@ use gnb_sim::ckpt::{CkptParams, CkptStore};
 use gnb_sim::fault::FaultPlan;
 use gnb_sim::SimTime;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-// gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// How a run responds to a detected crash-stop peer failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -170,8 +171,7 @@ pub struct RuntimeSvc<Q> {
     pub(crate) failed: Option<RetryFailure>,
     /// Shared stable-storage checkpoint store (None when no crashes are
     /// scheduled — crash-free runs take no checkpoints).
-    // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-    pub(crate) ckpt_store: Option<Arc<Mutex<CkptStore>>>,
+    pub(crate) ckpt_store: Option<Rc<RefCell<CkptStore>>>,
     /// This rank's monotone checkpoint epoch counter.
     pub(crate) ckpt_epoch: u64,
 }
@@ -181,8 +181,7 @@ impl<Q> RuntimeSvc<Q> {
         cfg: RuntimeConfig,
         rank: usize,
         fault: Arc<FaultPlan>,
-        // gnb-lint: allow(thread-primitives, reason = "shared checkpoint-store handle predating the parallel engine: the serial engine takes the lock uncontended, and parallel-mode ckpt effects are serialised through the coordinator replay")
-        ckpt_store: Option<Arc<Mutex<CkptStore>>>,
+        ckpt_store: Option<Rc<RefCell<CkptStore>>>,
     ) -> RuntimeSvc<Q> {
         RuntimeSvc {
             cfg,

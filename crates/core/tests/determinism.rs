@@ -124,3 +124,24 @@ fn faulty_runs_with_detection_still_complete_and_stay_deterministic() {
         );
     }
 }
+
+#[test]
+fn threads_is_inert_and_never_panics() {
+    // `RunConfig::threads` no longer selects anything: every value, the
+    // absurd ones included, must return the result `threads: 1` does.
+    let m = machine(2, 4);
+    let w = workload(m.nranks());
+    for algo in Algorithm::ALL {
+        let run = |threads: usize| {
+            let cfg = RunConfig {
+                threads,
+                ..RunConfig::default()
+            };
+            format!("{:?}", run_sim(&w, &m, algo, &cfg))
+        };
+        let one = run(1);
+        for threads in [0, 2, usize::MAX] {
+            assert_eq!(run(threads), one, "{algo} threads={threads}");
+        }
+    }
+}

@@ -27,7 +27,6 @@ use crate::mem::MemTracker;
 use crate::membership::{self, Membership};
 use crate::net::{NetParams, Network};
 use crate::obs::{EdgeKind, InstantKind, MetricId, Obs, ObsConfig, GLOBAL_RANK};
-use crate::par::{self, LaneCtx};
 use crate::race::RaceDetector;
 use crate::stats::Summary;
 use crate::time::SimTime;
@@ -66,41 +65,40 @@ pub trait Program<M> {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct BarrierState {
-    pub(crate) entered: usize,
-    pub(crate) max_entry: SimTime,
+struct BarrierState {
+    entered: usize,
+    max_entry: SimTime,
 }
 
-/// Engine internals shared with handlers through [`Ctx`], and with the
-/// sharded parallel mode's merge-replay coordinator (`crate::par`).
-pub(crate) struct EngineCore<M> {
-    pub(crate) queue: EventQueue<M>,
-    pub(crate) net: Network,
-    pub(crate) nranks: usize,
-    pub(crate) busy_until: Vec<SimTime>,
-    pub(crate) barriers: BTreeMap<u64, BarrierState>,
-    pub(crate) ledger: Vec<[SimTime; CATEGORIES]>,
-    pub(crate) unclassified_idle: Vec<SimTime>,
-    pub(crate) mem: MemTracker,
-    pub(crate) finish: Vec<SimTime>,
-    pub(crate) events_processed: u64,
+/// Engine internals shared with handlers through [`Ctx`].
+struct EngineCore<M> {
+    queue: EventQueue<M>,
+    net: Network,
+    nranks: usize,
+    busy_until: Vec<SimTime>,
+    barriers: BTreeMap<u64, BarrierState>,
+    ledger: Vec<[SimTime; CATEGORIES]>,
+    unclassified_idle: Vec<SimTime>,
+    mem: MemTracker,
+    finish: Vec<SimTime>,
+    events_processed: u64,
     /// Busy-rank and stall deferrals (one per `requeue`).
-    pub(crate) deferrals: u64,
+    deferrals: u64,
     /// Fault-injection plan (None = reliable machine).
-    pub(crate) fault: Option<FaultPlan>,
+    fault: Option<FaultPlan>,
     /// Global send sequence number (drives per-message fault decisions).
-    pub(crate) msg_seq: u64,
+    msg_seq: u64,
     /// Per-destination send counters (drive scheduled drops).
-    pub(crate) dst_counts: Vec<u64>,
+    dst_counts: Vec<u64>,
     /// Injected-fault counters.
-    pub(crate) fault_stats: FaultStats,
-    /// Crash-stop liveness flags and pending crash/rebirth marks, shared
-    /// with the parallel path (see [`crate::membership`]).
-    pub(crate) membership: Membership,
+    fault_stats: FaultStats,
+    /// Crash-stop liveness flags and pending crash/rebirth marks (see
+    /// [`crate::membership`]).
+    membership: Membership,
     /// Virtual-time race detector (None = not detecting).
-    pub(crate) races: Option<RaceDetector>,
+    races: Option<RaceDetector>,
     /// Structured observability recorder (None = not recording).
-    pub(crate) obs: Option<Obs>,
+    obs: Option<Obs>,
 }
 
 impl<M> EngineCore<M> {
@@ -110,24 +108,17 @@ impl<M> EngineCore<M> {
     }
 
     /// See [`membership::required_ranks`].
-    pub(crate) fn required_ranks(&self, t: SimTime) -> usize {
+    fn required_ranks(&self, t: SimTime) -> usize {
         membership::required_ranks(self.fault.as_ref(), self.nranks, t)
     }
 
     /// Releases barrier `id` (already removed from the pending map):
     /// pushes [`EventPayload::BarrierDone`] to every rank still in the
-    /// group at `max(entry times) + α·⌈log₂ P⌉`. Returns the number of
-    /// events pushed (the parallel replay tracks the serial queue length).
-    pub(crate) fn push_barrier_done(
-        &mut self,
-        id: u64,
-        max_entry: SimTime,
-        push_time: SimTime,
-    ) -> usize {
+    /// group at `max(entry times) + α·⌈log₂ P⌉`.
+    fn push_barrier_done(&mut self, id: u64, max_entry: SimTime, push_time: SimTime) {
         let nranks = self.nranks;
         let release = max_entry + barrier_time(self.net.params.alpha_ns, nranks);
         let crashes = membership::crashes_scheduled(self.fault.as_ref());
-        let mut pushed = 0;
         for r in 0..nranks {
             if crashes
                 && self
@@ -140,36 +131,21 @@ impl<M> EngineCore<M> {
             let seq = self
                 .queue
                 .push(release, r, EventPayload::BarrierDone { id });
-            pushed += 1;
             if let Some(obs) = &mut self.obs {
                 // Fan-in edge: the cause is the releasing handler.
                 obs.on_push(seq, EdgeKind::Barrier, push_time, release);
             }
         }
-        pushed
     }
 
     /// Executes one [`Ctx::send`] against the engine core: sequence-number
     /// and per-destination bookkeeping, fault fate, NIC reservation, queue
-    /// pushes, observability. This is the *only* definition of send
-    /// semantics — the serial context calls it directly; the parallel
-    /// coordinator replays logged sends through it in serial order, so the
-    /// two modes cannot drift. Returns the number of queue pushes (the
-    /// replay tracks the serial queue length).
-    pub(crate) fn exec_send(
-        &mut self,
-        rank: usize,
-        now: SimTime,
-        dst: usize,
-        bytes: u64,
-        msg: M,
-    ) -> usize
+    /// pushes, observability.
+    fn exec_send(&mut self, rank: usize, now: SimTime, dst: usize, bytes: u64, msg: M)
     where
         M: Clone,
     {
-        let mut pushed = 0;
         self.msg_seq += 1;
-        // gnb-lint: allow(panic-path, reason = "dst is a rank id bounds-checked by the program layer; per-rank vectors have nranks entries")
         self.dst_counts[dst] += 1;
         if let Some(obs) = &mut self.obs {
             obs.counter_add(MetricId::BytesSent, GLOBAL_RANK, now, bytes);
@@ -178,7 +154,6 @@ impl<M> EngineCore<M> {
         let fate = self
             .fault
             .as_ref()
-            // gnb-lint: allow(panic-path, reason = "dst_counts[dst] was just incremented above; same bounds argument")
             .map(|f| f.message_fate(self.msg_seq, dst, self.dst_counts[dst]))
             .unwrap_or_default();
         if fate.dropped {
@@ -188,7 +163,7 @@ impl<M> EngineCore<M> {
             if let Some(obs) = &mut self.obs {
                 obs.instant(rank, now, InstantKind::MsgDropped, dst as u64);
             }
-            return pushed;
+            return;
         }
         if fate.duplicated {
             // Allocation audit: this is the only payload clone in the
@@ -214,7 +189,6 @@ impl<M> EngineCore<M> {
                         msg: msg.clone(),
                     },
                 );
-                pushed += 1;
                 if let Some(obs) = &mut self.obs {
                     obs.instant(rank, now, InstantKind::MsgDuplicated, dst as u64);
                     obs.on_push(seq, EdgeKind::Message, now, sched);
@@ -232,35 +206,20 @@ impl<M> EngineCore<M> {
             // delivery, so the message fails in flight. The sender already
             // paid the full NIC occupancy — physically the bytes left.
             self.fault_stats.crash_events_dropped += 1;
-            return pushed;
+            return;
         }
         let seq = self
             .queue
             .push(sched, dst, EventPayload::Message { src: rank, msg });
-        pushed += 1;
         if let Some(obs) = &mut self.obs {
             obs.on_push(seq, EdgeKind::Message, now, sched);
             obs.gauge_add(MetricId::MsgsInFlight, GLOBAL_RANK, now, 1);
         }
-        pushed
-    }
-
-    /// Pushes the self-timer behind an (un-doomed) [`Ctx::after`]. Shared
-    /// by the serial context and the parallel replay.
-    pub(crate) fn exec_after_push(&mut self, rank: usize, now: SimTime, sched: SimTime, msg: M) {
-        let seq = self
-            .queue
-            .push(sched, rank, EventPayload::Message { src: rank, msg });
-        if let Some(obs) = &mut self.obs {
-            obs.on_push(seq, EdgeKind::Timer, now, sched);
-        }
     }
 
     /// Executes one (un-guarded) [`Ctx::barrier_enter`] against the global
-    /// barrier map. Shared by the serial context and the parallel replay.
-    /// Returns the number of release events pushed (zero while the barrier
-    /// is still collecting).
-    pub(crate) fn exec_barrier_enter(&mut self, now: SimTime, id: u64) -> usize {
+    /// barrier map.
+    fn exec_barrier_enter(&mut self, now: SimTime, id: u64) {
         let nranks = self.nranks;
         // Under a crash plan a barrier only waits for ranks whose crash
         // has not fired yet; without one this is exactly `nranks`.
@@ -275,20 +234,15 @@ impl<M> EngineCore<M> {
         if st.entered >= required {
             let max_entry = st.max_entry;
             self.barriers.remove(&id);
-            self.push_barrier_done(id, max_entry, now)
-        } else {
-            0
+            self.push_barrier_done(id, max_entry, now);
         }
     }
 
     /// Executes the global effects of a death mark firing at `time`:
     /// counts the crash, records the observability instant, and releases
     /// any pending barrier whose remaining entrants just died (or the
-    /// survivors deadlock). The liveness flag itself is rank-local state
-    /// and stays with the caller (the serial loop flips
-    /// `membership.dead`; a parallel lane flips its own copy). Returns
-    /// the number of release events pushed.
-    pub(crate) fn exec_death(&mut self, rank: usize, time: SimTime) -> usize {
+    /// survivors deadlock). The caller flips the liveness flag.
+    fn exec_death(&mut self, rank: usize, time: SimTime) {
         self.fault_stats.crashes += 1;
         if let Some(obs) = &mut self.obs {
             obs.instant(rank, time, InstantKind::Crash, rank as u64);
@@ -297,36 +251,21 @@ impl<M> EngineCore<M> {
         // release now, or the survivors deadlock.
         let ids: Vec<u64> = self.barriers.keys().copied().collect();
         let required = self.required_ranks(time);
-        let mut pushed = 0;
         for id in ids {
             // gnb-lint: allow(panic-path, reason = "id was collected from barriers.keys() in this same iteration and nothing removes it in between")
             let st = &self.barriers[&id];
             if st.entered >= required {
                 let max_entry = st.max_entry;
                 self.barriers.remove(&id);
-                pushed += self.push_barrier_done(id, max_entry, time);
+                self.push_barrier_done(id, max_entry, time);
             }
         }
-        pushed
     }
-}
-
-/// The two execution backends behind [`Ctx`]. Serial handlers mutate the
-/// engine core directly; parallel-mode handlers run inside a rank lane on
-/// a worker shard, mutating only rank-local state and logging every global
-/// effect as an [`crate::par`] action for the coordinator's merge-replay.
-/// Programs cannot observe which backend they run on — that is the whole
-/// bit-identity argument.
-pub(crate) enum CtxCore<'a, M> {
-    /// Reference serial mode: direct mutable access to the engine core.
-    Serial(&'a mut EngineCore<M>),
-    /// Sharded parallel mode: rank-local lane plus an action log.
-    Lane(LaneCtx<'a, M>),
 }
 
 /// Handler context: the engine API available to a running rank.
 pub struct Ctx<'a, M> {
-    core: CtxCore<'a, M>,
+    core: &'a mut EngineCore<M>,
     rank: usize,
     now: SimTime,
     /// Idle gap between the previous handler's end and this handler's
@@ -338,37 +277,7 @@ pub struct Ctx<'a, M> {
     scope: Option<TimeCategory>,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Builds a parallel-mode context for one handler dispatch on a worker
-    /// shard (used only by [`crate::par`]).
-    pub(crate) fn for_lane(
-        lane: LaneCtx<'a, M>,
-        rank: usize,
-        now: SimTime,
-        idle_pending: SimTime,
-    ) -> Ctx<'a, M> {
-        Ctx {
-            core: CtxCore::Lane(lane),
-            rank,
-            now,
-            idle_pending,
-            scope: None,
-        }
-    }
-
-    /// Tears a finished dispatch down to `(handler end time, leftover
-    /// unclassified idle)` (used only by [`crate::par`]).
-    pub(crate) fn into_end(self) -> (SimTime, SimTime) {
-        (self.now, self.idle_pending)
-    }
-
-    /// The fault plan, identical under either backend.
-    fn fault(&self) -> Option<&FaultPlan> {
-        match &self.core {
-            CtxCore::Serial(core) => core.fault.as_ref(),
-            CtxCore::Lane(lane) => lane.fault,
-        }
-    }
+impl<M> Ctx<'_, M> {
     /// Current virtual time on this rank.
     pub fn now(&self) -> SimTime {
         self.now
@@ -381,10 +290,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Total number of ranks.
     pub fn nranks(&self) -> usize {
-        match &self.core {
-            CtxCore::Serial(core) => core.nranks,
-            CtxCore::Lane(lane) => lane.nranks,
-        }
+        self.core.nranks
     }
 
     /// Consumes `dt` of CPU, booked under `cat`.
@@ -397,46 +303,24 @@ impl<'a, M> Ctx<'a, M> {
         let cat = self.scope.unwrap_or(cat);
         let start = self.now;
         self.now += dt;
-        let end = self.now;
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-                core.ledger[self.rank][cat as usize] += dt;
-                if let Some(obs) = &mut core.obs {
-                    obs.on_advance(self.rank, start, end, cat);
-                }
-            }
-            CtxCore::Lane(lane) => {
-                // gnb-lint: allow(panic-path, reason = "the lane ledger has CATEGORIES entries and the category index is an enum cast")
-                lane.lane.ledger[cat as usize] += dt;
-                lane.log_advance(start, end, cat);
-            }
+        // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
+        self.core.ledger[self.rank][cat as usize] += dt;
+        if let Some(obs) = &mut self.core.obs {
+            obs.on_advance(self.rank, start, self.now, cat);
         }
         let cpu_bound = matches!(cat, TimeCategory::Compute | TimeCategory::Overhead);
         if cpu_bound && dt > SimTime::ZERO {
-            let factor = self
-                .fault()
-                .map_or(1.0, |f| f.compute_factor(self.rank, start));
+            let fault = self.core.fault.as_ref();
+            let factor = fault.map_or(1.0, |f| f.compute_factor(self.rank, start));
             if factor > 1.0 {
                 let excess = SimTime::from_secs_f64(dt.as_secs_f64() * (factor - 1.0));
                 let slow_start = self.now;
                 self.now += excess;
-                let slow_end = self.now;
-                match &mut self.core {
-                    CtxCore::Serial(core) => {
-                        // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-                        core.ledger[self.rank][TimeCategory::Recovery as usize] += excess;
-                        core.fault_stats.straggler_excess += excess;
-                        if let Some(obs) = &mut core.obs {
-                            obs.on_advance(self.rank, slow_start, slow_end, TimeCategory::Recovery);
-                        }
-                    }
-                    CtxCore::Lane(lane) => {
-                        // gnb-lint: allow(panic-path, reason = "ledger is a fixed CATEGORIES-sized array indexed by the TimeCategory discriminant")
-                        lane.lane.ledger[TimeCategory::Recovery as usize] += excess;
-                        lane.lane.stats.straggler_excess += excess;
-                        lane.log_advance(slow_start, slow_end, TimeCategory::Recovery);
-                    }
+                // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
+                self.core.ledger[self.rank][TimeCategory::Recovery as usize] += excess;
+                self.core.fault_stats.straggler_excess += excess;
+                if let Some(obs) = &mut self.core.obs {
+                    obs.on_advance(self.rank, slow_start, self.now, TimeCategory::Recovery);
                 }
             }
         }
@@ -462,12 +346,8 @@ impl<'a, M> Ctx<'a, M> {
     /// per handler; later calls book zero.
     pub fn classify_idle(&mut self, cat: TimeCategory) {
         let dt = std::mem::take(&mut self.idle_pending);
-        match &mut self.core {
-            // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-            CtxCore::Serial(core) => core.ledger[self.rank][cat as usize] += dt,
-            // gnb-lint: allow(panic-path, reason = "the lane ledger has CATEGORIES entries and the category index is an enum cast")
-            CtxCore::Lane(lane) => lane.lane.ledger[cat as usize] += dt,
-        }
+        // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
+        self.core.ledger[self.rank][cat as usize] += dt;
     }
 
     /// The as-yet-unclassified idle gap for this handler.
@@ -485,17 +365,7 @@ impl<'a, M> Ctx<'a, M> {
     where
         M: Clone,
     {
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                core.exec_send(self.rank, self.now, dst, bytes, msg);
-            }
-            // Everything a send touches is global, order-sensitive state
-            // (send sequence numbers, per-destination counters, NIC
-            // channels, the event queue, fault counters), so the lane logs
-            // the send verbatim and the coordinator replays it — through
-            // the same `exec_send` — in serial order.
-            CtxCore::Lane(lane) => lane.log_send(self.now, dst, bytes, msg),
-        }
+        self.core.exec_send(self.rank, self.now, dst, bytes, msg);
     }
 
     /// Sends `msg` to `dst` (through the network model, so subject to any
@@ -528,25 +398,18 @@ impl<'a, M> Ctx<'a, M> {
         let sched = self.now + delay;
         // The fault-injection contract keeps self-timers out of the
         // *message* fault plan, but a crash is not a message fault: a
-        // timer dies with the incarnation that armed it. The doom
-        // predicate is a pure function of the crash plan, so the lane
-        // evaluates it locally, exactly as the serial loop would.
-        if membership::crash_dooms(self.fault(), self.rank, self.rank, self.now, sched) {
-            match &mut self.core {
-                CtxCore::Serial(core) => core.fault_stats.crash_events_dropped += 1,
-                CtxCore::Lane(lane) => lane.lane.stats.crash_events_dropped += 1,
-            }
+        // timer dies with the incarnation that armed it.
+        if self.core.crash_dooms(self.rank, self.rank, self.now, sched) {
+            self.core.fault_stats.crash_events_dropped += 1;
             return;
         }
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                core.exec_after_push(self.rank, self.now, sched, msg);
-            }
-            // A sub-lookahead timer is consumed inside the window by this
-            // rank's own chain; anything at or past the horizon goes back
-            // to the real queue at replay. Either way the replay allocates
-            // the serial sequence number.
-            CtxCore::Lane(lane) => lane.log_after(self.rank, self.now, sched, msg),
+        let src = self.rank;
+        let seq = self
+            .core
+            .queue
+            .push(sched, src, EventPayload::Message { src, msg });
+        if let Some(obs) = &mut self.core.obs {
+            obs.on_push(seq, EdgeKind::Timer, self.now, sched);
         }
     }
 
@@ -559,64 +422,35 @@ impl<'a, M> Ctx<'a, M> {
     pub fn barrier_enter(&mut self, id: u64) {
         // A handler dispatched before the rank's crash can reach this call
         // at a virtual `now` past the crash: the rank died mid-handler and
-        // never made it to the barrier, so the entry does not happen. The
-        // guard is pure, so both backends evaluate it identically.
-        if membership::crashed_by(self.fault(), self.rank, self.now) {
+        // never made it to the barrier, so the entry does not happen.
+        if membership::crashed_by(self.core.fault.as_ref(), self.rank, self.now) {
             return;
         }
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                core.exec_barrier_enter(self.now, id);
-            }
-            // The barrier map is global: log the entry, replay in serial
-            // order. A completing entry releases at `max_entry + α·⌈log₂
-            // P⌉ ≥ now + α ≥ horizon` (parallel mode requires `alpha_ns ≥
-            // intra_alpha_ns` and ≥ 2 ranks), so the release events never
-            // land inside the current window.
-            CtxCore::Lane(lane) => lane.log_barrier(self.now, id),
-        }
+        self.core.exec_barrier_enter(self.now, id);
     }
 
     /// Records `bytes` allocated on this rank.
     pub fn mem_alloc(&mut self, bytes: u64) {
-        match &mut self.core {
-            CtxCore::Serial(core) => core.mem.alloc(self.rank, bytes),
-            CtxCore::Lane(lane) => lane.lane.mem_alloc(bytes),
-        }
+        self.core.mem.alloc(self.rank, bytes);
         self.sample_mem();
     }
 
     /// Records `bytes` freed on this rank.
     pub fn mem_free(&mut self, bytes: u64) {
-        match &mut self.core {
-            CtxCore::Serial(core) => core.mem.free(self.rank, bytes),
-            CtxCore::Lane(lane) => lane.lane.mem_free(self.rank, bytes),
-        }
+        self.core.mem.free(self.rank, bytes);
         self.sample_mem();
     }
 
     fn sample_mem(&mut self) {
-        let now = self.now;
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                if let Some(obs) = &mut core.obs {
-                    let cur = core.mem.current(self.rank);
-                    obs.gauge_set(MetricId::MemCurrent, self.rank as u32, now, cur);
-                }
-            }
-            CtxCore::Lane(lane) => {
-                let cur = lane.lane.mem_cur;
-                lane.log_mem_gauge(now, cur);
-            }
+        if let Some(obs) = &mut self.core.obs {
+            let cur = self.core.mem.current(self.rank);
+            obs.gauge_set(MetricId::MemCurrent, self.rank as u32, self.now, cur);
         }
     }
 
     /// Current allocation on this rank.
     pub fn mem_current(&self) -> u64 {
-        match &self.core {
-            CtxCore::Serial(core) => core.mem.current(self.rank),
-            CtxCore::Lane(lane) => lane.lane.mem_cur,
-        }
+        self.core.mem.current(self.rank)
     }
 
     /// Declares that this handler reads logical state `key` (for the
@@ -625,26 +459,16 @@ impl<'a, M> Ctx<'a, M> {
     /// chosen — e.g. a read id, a tile index — and only compared for
     /// equality within one rank.
     pub fn race_read(&mut self, key: u64) {
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                if let Some(rd) = &mut core.races {
-                    rd.access(key, false);
-                }
-            }
-            CtxCore::Lane(lane) => lane.log_race(key, false),
+        if let Some(rd) = &mut self.core.races {
+            rd.access(key, false);
         }
     }
 
     /// Declares that this handler writes logical state `key` (see
     /// [`Ctx::race_read`]).
     pub fn race_write(&mut self, key: u64) {
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                if let Some(rd) = &mut core.races {
-                    rd.access(key, true);
-                }
-            }
-            CtxCore::Lane(lane) => lane.log_race(key, true),
+        if let Some(rd) = &mut self.core.races {
+            rd.access(key, true);
         }
     }
 
@@ -653,14 +477,8 @@ impl<'a, M> Ctx<'a, M> {
     /// recovery activity — retries, duplicate replies, give-ups — without
     /// the engine knowing their protocols.
     pub fn obs_instant(&mut self, kind: InstantKind, key: u64) {
-        let now = self.now;
-        match &mut self.core {
-            CtxCore::Serial(core) => {
-                if let Some(obs) = &mut core.obs {
-                    obs.instant(self.rank, now, kind, key);
-                }
-            }
-            CtxCore::Lane(lane) => lane.log_instant(now, kind, key),
+        if let Some(obs) = &mut self.core.obs {
+            obs.instant(self.rank, self.now, kind, key);
         }
     }
 }
@@ -724,8 +542,6 @@ impl SimReport {
 /// The simulation engine.
 pub struct Engine<M> {
     core: EngineCore<M>,
-    /// Worker shard count for the conservative-parallel mode; 1 = serial.
-    threads: usize,
 }
 
 impl<M> Engine<M> {
@@ -733,7 +549,6 @@ impl<M> Engine<M> {
     pub fn new(nranks: usize, net: NetParams) -> Engine<M> {
         assert!(nranks >= 1, "need at least one rank");
         Engine {
-            threads: 1,
             core: EngineCore {
                 queue: EventQueue::new(),
                 net: Network::new(net, nranks),
@@ -755,19 +570,6 @@ impl<M> Engine<M> {
                 obs: None,
             },
         }
-    }
-
-    /// Sets the worker-shard count for the conservative-parallel engine
-    /// mode. `1` (the default) runs the reference serial loop. Any higher
-    /// count windows execution by the `intra_alpha_ns` lookahead and
-    /// merge-replays shard logs so the report stays byte-identical to the
-    /// serial engine (see DESIGN.md "Parallel engine"); configurations the
-    /// lookahead argument does not cover (a single rank, a zero intra-node
-    /// latency floor, or `alpha_ns < intra_alpha_ns`) fall back to serial.
-    pub fn with_threads(mut self, threads: usize) -> Engine<M> {
-        assert!(threads >= 1, "need at least one worker shard");
-        self.threads = threads;
-        self
     }
 
     /// Enables the structured observability recorder (see [`crate::obs`]):
@@ -818,11 +620,7 @@ impl<M> Engine<M> {
     /// # Panics
     /// Panics if `programs.len() != nranks`, or if a barrier is left
     /// incomplete at quiescence (a deadlocked program).
-    pub fn run<P>(mut self, programs: &mut [P]) -> SimReport
-    where
-        P: Program<M> + Send,
-        M: Clone + Send,
-    {
+    pub fn run<P: Program<M>>(mut self, programs: &mut [P]) -> SimReport {
         assert_eq!(
             programs.len(),
             self.core.nranks,
@@ -846,22 +644,8 @@ impl<M> Engine<M> {
                 obs.on_push(seq, EdgeKind::Start, SimTime::ZERO, SimTime::ZERO);
             }
         }
-        // The windowed-parallel mode is sound exactly when the network
-        // gives a positive intra-node latency floor that every delivery
-        // (and, via `alpha_ns ≥ intra_alpha_ns` with ≥ 2 ranks, every
-        // barrier release) respects — see DESIGN.md "Parallel engine".
-        // Anything else runs the reference serial loop.
-        let p = self.core.net.params;
-        let parallel = self.threads > 1
-            && self.core.nranks >= 2
-            && p.intra_alpha_ns > 0
-            && p.alpha_ns >= p.intra_alpha_ns;
-        if parallel {
-            par::run_windows(&mut self.core, programs, self.threads);
-        } else {
-            while let Some(ev) = self.core.queue.pop_entry() {
-                serial_step(&mut self.core, programs, ev);
-            }
+        while let Some(ev) = self.core.queue.pop_entry() {
+            step(&mut self.core, programs, ev);
         }
         assert!(
             self.core.barriers.is_empty(),
@@ -903,11 +687,10 @@ impl<M> Engine<M> {
     }
 }
 
-/// One iteration of the reference serial loop: route a popped event
-/// through membership, liveness, CPU-queueing and stall checks, then
-/// dispatch the handler. The parallel mode's shard chains and merge-replay
-/// reproduce exactly this step's effects (see `crate::par`).
-fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: QueuedEvent) {
+/// One iteration of the event loop: route a popped event through
+/// membership, liveness, CPU-queueing and stall checks, then dispatch the
+/// handler.
+fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: QueuedEvent) {
     let r = ev.dst;
     // Crash/rebirth marks run ahead of every liveness/busy check:
     // a crash is not deferred by a busy rank.
@@ -998,7 +781,7 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
     }
     let payload = core.queue.resolve(ev);
     let mut ctx = Ctx {
-        core: CtxCore::Serial(core),
+        core,
         rank: r,
         now: ev.time,
         idle_pending: idle,
@@ -1012,7 +795,7 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
         // gnb-lint: allow(panic-path, reason = "run() asserts programs.len() == nranks at entry; the event's dst was bounds-checked when pushed")
         EventPayload::BarrierDone { id } => programs[r].on_barrier(&mut ctx, id),
     }
-    let (end, leftover_idle) = ctx.into_end();
+    let (end, leftover_idle) = (ctx.now, ctx.idle_pending);
     // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
     core.unclassified_idle[r] += leftover_idle;
     if let Some(obs) = &mut core.obs {
@@ -1190,6 +973,26 @@ mod tests {
         let mut progs = vec![TimerProg { fired: None }];
         let _ = Engine::new(1, small_net()).run(&mut progs);
         assert_eq!(progs[0].fired, Some(SimTime::from_us(7)));
+    }
+
+    /// The engine is single-threaded, so rank programs may share state
+    /// through an `Rc` (the checkpoint store in `gnb-core` does).
+    #[test]
+    fn programs_need_not_be_send() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Counting(Rc<Cell<u32>>);
+        impl Program<Msg> for Counting {
+            fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {
+                self.0.set(self.0.get() + 1);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _src: usize, _msg: Msg) {}
+            fn on_barrier(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: u64) {}
+        }
+        let starts = Rc::new(Cell::new(0));
+        let mut progs: Vec<Counting> = (0..3).map(|_| Counting(Rc::clone(&starts))).collect();
+        let _ = Engine::new(3, small_net()).run(&mut progs);
+        assert_eq!(starts.get(), 3);
     }
 
     /// Unclassified idle is reported, not lost.

@@ -117,10 +117,9 @@ pub enum TieBreak {
 impl TieBreak {
     /// The heap ordering key for a sequence number under this policy:
     /// events sharing a virtual time pop in ascending `order(seq)`. This is
-    /// the single definition of the tie-break; the parallel engine's
-    /// shard-local merge uses it to reproduce the serial pop order. It is
-    /// its own inverse (`order(order(seq)) == seq`), which is how the queue
-    /// recovers a sequence number from a stored key.
+    /// the single definition of the tie-break. It is its own inverse
+    /// (`order(order(seq)) == seq`), which is how the queue recovers a
+    /// sequence number from a stored key.
     pub fn order(self, seq: u64) -> u64 {
         match self {
             TieBreak::Fifo => seq,
@@ -271,25 +270,14 @@ impl<M> EventQueue<M> {
     /// builds its entry (the shared head of `push` and `requeue`).
     fn new_entry(&mut self, time: SimTime, dst: usize, slot: u32) -> (u64, HeapEntry) {
         debug_assert!(dst < u32::MAX as usize, "rank id out of range");
-        let seq = self.alloc_seq();
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let entry = HeapEntry {
             key: (time, self.tie_break.order(seq)),
             dst: dst as u32,
             slot,
         };
         (seq, entry)
-    }
-
-    /// Burns the next sequence number without enqueueing anything. The
-    /// parallel engine's merge-replay uses this to account for events that
-    /// were pushed *and* consumed inside one lookahead window on a shard:
-    /// the serial engine would have assigned them a sequence number at this
-    /// exact point, so the counter must advance identically for every later
-    /// assignment to line up.
-    pub(crate) fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
     }
 
     /// `true` when the earliest pending entry is a lane front (in `heads`)

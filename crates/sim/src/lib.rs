@@ -48,7 +48,6 @@ pub mod mem;
 mod membership;
 pub mod net;
 pub mod obs;
-mod par;
 pub mod race;
 pub mod stats;
 pub mod time;

@@ -74,18 +74,6 @@ impl MemTracker {
     pub fn peaks(&self) -> &[u64] {
         &self.peak
     }
-
-    /// Installs the current/peak pair for `rank` wholesale. Used by the
-    /// parallel engine to copy a rank lane's accounting back at end of
-    /// run; lanes mirror `alloc`/`free` exactly, so the invariant
-    /// `peak ≥ current` is preserved.
-    pub(crate) fn store(&mut self, rank: usize, current: u64, peak: u64) {
-        debug_assert!(peak >= current);
-        // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries; rank ids come from the engine")
-        self.current[rank] = current;
-        // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries; rank ids come from the engine")
-        self.peak[rank] = peak;
-    }
 }
 
 #[cfg(test)]

@@ -1,18 +1,13 @@
-//! Crash-stop membership bookkeeping, shared by the serial dispatch loop
-//! and the sharded parallel engine (`crate::par`).
+//! Crash-stop membership bookkeeping for the engine's dispatch loop.
 //!
-//! The serial engine used to mix liveness flags, crash/rebirth mark
-//! routing and the pure crash-plan predicates into its dispatch loop.
-//! Extracting them here means the parallel engine's shard workers and its
-//! merge-replay coordinator consult the *same* definitions — the two modes
-//! cannot drift on who is dead when, which events a crash dooms, or how
+//! This module keeps the liveness flags, the crash/rebirth mark routing
+//! and the crash-plan predicates out of the loop itself, so there is one
+//! definition of who is dead when, which events a crash dooms, and how
 //! many entrants a barrier must collect.
 //!
 //! Everything that depends only on the installed [`CrashPlan`] is a pure
-//! function of `(plan, time)`, so shard workers can evaluate it without
-//! any shared mutable state; only the `dead` flags and the pending-mark
-//! table are stateful, and those live on whichever side owns the rank at
-//! that moment (the engine core serially, a rank lane inside a window).
+//! function of `(plan, time)`; only the `dead` flags and the pending-mark
+//! table are stateful.
 
 use crate::event::{EventPayload, EventQueue};
 use crate::fault::{CrashPlan, FaultPlan, RankCrash};
@@ -27,8 +22,6 @@ pub(crate) struct Mark {
     pub rank: usize,
     /// `true` for the rebirth edge of a crash window.
     pub rebirth: bool,
-    /// Virtual time the mark fires.
-    pub time: SimTime,
 }
 
 /// Liveness flags plus the pending crash/rebirth mark table.
@@ -64,7 +57,6 @@ impl Membership {
                 Mark {
                     rank: c.rank,
                     rebirth: false,
-                    time: c.at,
                 },
             );
             if let Some(d) = c.rebirth {
@@ -74,7 +66,6 @@ impl Membership {
                     Mark {
                         rank: c.rank,
                         rebirth: true,
-                        time: c.at + d,
                     },
                 );
             }
@@ -84,19 +75,6 @@ impl Membership {
     /// Takes the mark for `seq`, if `seq` identifies one.
     pub(crate) fn take_mark(&mut self, seq: u64) -> Option<Mark> {
         self.marks.remove(&seq)
-    }
-
-    /// Earliest pending *death* mark (rebirths are benign: they touch only
-    /// rank-local state). The parallel engine shrinks its window to a
-    /// single event while a death is inside the lookahead horizon, because
-    /// a death can release a long-pending barrier at a time *before* the
-    /// current window (the release is derived from old entry times).
-    pub(crate) fn min_pending_death(&self) -> Option<SimTime> {
-        self.marks
-            .values()
-            .filter(|m| !m.rebirth)
-            .map(|m| m.time)
-            .min()
     }
 }
 

@@ -101,10 +101,8 @@ impl Network {
         if sn == dn {
             return now + SimTime::from_ns(p.intra_alpha_ns);
         }
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         let tx_start = self.tx_free[sn].max(now);
         let tx_end = tx_start + p.wire_time(bytes);
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         self.tx_free[sn] = tx_end;
         tx_end
     }
@@ -123,18 +121,14 @@ impl Network {
         }
         let occupancy = p.wire_time(bytes);
         // TX: wait for the source NIC, occupy it for the body.
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         let tx_start = self.tx_free[sn].max(now);
         let tx_end = tx_start + occupancy;
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         self.tx_free[sn] = tx_end;
         // Wire latency.
         let at_dst = tx_end + SimTime::from_ns(p.alpha_ns);
         // RX: wait for the destination NIC, occupy it for the body.
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         let rx_start = self.rx_free[dn].max(at_dst);
         let rx_end = rx_start + occupancy;
-        // gnb-lint: allow(panic-path, reason = "node_of yields indices below the node count the NIC vectors were sized to")
         self.rx_free[dn] = rx_end;
         rx_end
     }

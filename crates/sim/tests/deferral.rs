@@ -9,7 +9,8 @@
 
 use gnb_sim::engine::{Ctx, Engine, Program, SimReport, TimeCategory};
 use gnb_sim::{NetParams, SimTime};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn net() -> NetParams {
     NetParams {
@@ -33,7 +34,7 @@ fn drained_after(k: usize) -> SimTime {
 }
 
 /// `(server rank, client rank)` of every request, in dispatch order.
-type ServiceLog = Arc<Mutex<Vec<(usize, usize)>>>;
+type ServiceLog = Rc<RefCell<Vec<(usize, usize)>>>;
 
 /// Ranks below `servers` compute for [`WARMUP`] and then serve requests at
 /// [`SERVICE`] each; every other rank waits `3·rank mod 5` µs on a timer
@@ -67,28 +68,23 @@ impl Program<()> for Node {
             return;
         }
         assert!(ctx.now() >= WARMUP, "served while still warming up");
-        self.log
-            .lock()
-            .expect("no handler panicked")
-            .push((ctx.rank(), src));
+        self.log.borrow_mut().push((ctx.rank(), src));
         ctx.advance(SERVICE, TimeCategory::Compute);
     }
 
     fn on_barrier(&mut self, _ctx: &mut Ctx<'_, ()>, _id: u64) {}
 }
 
-fn run(servers: usize, clients: usize, threads: usize) -> (Vec<(usize, usize)>, SimReport) {
+fn run(servers: usize, clients: usize) -> (Vec<(usize, usize)>, SimReport) {
     let log = ServiceLog::default();
     let mut progs: Vec<Node> = (0..servers + clients)
         .map(|_| Node {
             servers,
-            log: Arc::clone(&log),
+            log: Rc::clone(&log),
         })
         .collect();
-    let report = Engine::new(servers + clients, net())
-        .with_threads(threads)
-        .run(&mut progs);
-    let served = log.lock().expect("no handler panicked").clone();
+    let report = Engine::new(servers + clients, net()).run(&mut progs);
+    let served = log.borrow().clone();
     (served, report)
 }
 
@@ -98,7 +94,7 @@ fn run(servers: usize, clients: usize, threads: usize) -> (Vec<(usize, usize)>, 
 #[test]
 fn backlog_of_k_requests_is_deferred_k_k_minus_1_and_so_on_times() {
     for k in [1usize, 2, 7, 40] {
-        let (log, report) = run(1, k, 1);
+        let (log, report) = run(1, k);
         assert_eq!(log.len(), k, "every request served once");
         assert_eq!(
             report.events,
@@ -107,9 +103,6 @@ fn backlog_of_k_requests_is_deferred_k_k_minus_1_and_so_on_times() {
         );
         assert_eq!(report.deferrals, (k * (k + 1) / 2) as u64, "k = {k}");
         assert_eq!(report.end_time, drained_after(k));
-        for threads in [2, 4, 8] {
-            assert_eq!(run(1, k, threads).1, report, "k = {k}, {threads} shards");
-        }
     }
 }
 
@@ -119,7 +112,7 @@ fn backlog_of_k_requests_is_deferred_k_k_minus_1_and_so_on_times() {
 /// the parent commit.
 #[test]
 fn two_ranks_in_lockstep_serve_interleaved_backlogs_in_recorded_order() {
-    let (log, report) = run(2, 5, 1);
+    let (log, report) = run(2, 5);
     let recorded = [
         (1, 5),
         (0, 5),
