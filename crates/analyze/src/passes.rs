@@ -329,9 +329,10 @@ pub fn panic_pass(ix: &SymbolIndex, audit: impl Fn(&str) -> bool) -> Vec<Finding
                 f.trait_name.as_deref() == Some(STRATEGY_TRAIT)
                     || f.owner.as_deref() == Some(STRATEGY_TRAIT)
             }
-            // Crash takeover / checkpoint restore / retry expiry / reply
-            // acceptance — the crash-recovery surface.
-            "adopt" | "ckpt_restore" | "expire" | "accept_reply" => true,
+            // Crash takeover (the runtime's adoption preamble and the
+            // strategy hook it dispatches to) / checkpoint restore / retry
+            // expiry / reply acceptance — the crash-recovery surface.
+            "adopt" | "on_adopt" | "ckpt_restore" | "expire" | "accept_reply" => true,
             // Engine dispatch: the run loop and the Program hooks it calls.
             "run" => f.owner.as_deref() == Some("Engine"),
             "on_start" | "on_message" | "on_barrier" => {
@@ -469,12 +470,13 @@ mod tests {
     fn strategy_without_tracked_requests_needs_no_hooks() {
         let ix = index_of(&[(
             CORE,
-            "impl CoordinationStrategy for Bsp {\n\
-                 type App = BspApp;\n\
-                 fn on_start(&mut self, rt: &mut RtCtx) { rt.after_app(d, BspApp::Adopt); }\n\
-                 fn on_app(&mut self, rt: &mut RtCtx, msg: BspApp) {\n\
-                     let BspApp::Adopt(dead) = msg;\n\
-                     self.adopt(dead);\n\
+            // A single-variant `App` handled by let-destructure, not a match.
+            "impl CoordinationStrategy for Ticker {\n\
+                 type App = Tick;\n\
+                 fn on_start(&mut self, rt: &mut RtCtx) { rt.after_app(d, Tick::Fire); }\n\
+                 fn on_app(&mut self, rt: &mut RtCtx, msg: Tick) {\n\
+                     let Tick::Fire(n) = msg;\n\
+                     self.fire(n);\n\
                  }\n\
              }",
         )]);
@@ -612,5 +614,19 @@ mod tests {
         let f = panic_pass(&ix, audit);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("unreachable"));
+    }
+
+    #[test]
+    fn adoption_hook_is_a_root_in_its_own_right() {
+        // No `Program` impl in sight: `on_adopt` roots the audit by name.
+        let ix = index_of(&[(
+            CORE,
+            "impl CoordinationStrategy for S {\n\
+                 fn on_adopt(&mut self, dead: usize) { self.shards[dead].replay(); }\n\
+             }",
+        )]);
+        let f = panic_pass(&ix, audit);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("index expression"));
     }
 }

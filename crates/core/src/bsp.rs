@@ -22,10 +22,11 @@ use crate::driver::RunConfig;
 use crate::machine::MachineConfig;
 use crate::runtime::{CoordinationStrategy, RtCtx};
 use crate::workload::{task_checksum, SimWorkload};
-use gnb_sim::ckpt::{CkptReader, CkptWriter};
+use gnb_sim::ckpt::Checkpointable;
 use gnb_sim::coll::{alltoallv_time, CollParams, ExchangeLoad};
 use gnb_sim::engine::TimeCategory;
 use gnb_sim::SimTime;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Precomputed global plan for a BSP run.
@@ -192,18 +193,9 @@ pub fn plan_bsp(w: &SimWorkload, machine: &MachineConfig, cfg: &RunConfig) -> Bs
     }
 }
 
-/// Strategy-internal messages of the BSP code: only the crash-adoption
-/// self-timer (BSP otherwise exchanges purely through collectives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BspApp {
-    /// Self-timer: adopt the shard of crashed rank `.0` (fires
-    /// `crash_detect` after its scheduled death; this rank is its
-    /// deterministic successor).
-    Adopt(usize),
-}
-
-/// The strategy-facing context of the BSP code.
-type BCtx<'c, 'e> = RtCtx<'c, 'e, BspApp, (), ()>;
+/// The strategy-facing context of the BSP code: no strategy messages (BSP
+/// exchanges purely through collectives), no tracked requests.
+type BCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, (), ()>;
 
 /// The bulk-synchronous superstep state machine, hosted by
 /// [`crate::runtime::RankRuntime`]. All communication is through the
@@ -224,41 +216,35 @@ impl BspStrategy {
             tasks_done: 0,
         }
     }
+
+    fn me(&self) -> &BspRankPlan {
+        // gnb-lint: allow(panic-path, reason = "self.rank < nranks is established at Engine construction and never changes")
+        &self.plan.per_rank[self.rank]
+    }
 }
 
 impl CoordinationStrategy for BspStrategy {
-    type App = BspApp;
+    type App = Infallible;
     type Req = ();
     type Rep = ();
 
     fn on_start(&mut self, rt: &mut BCtx<'_, '_>) {
-        // gnb-lint: allow(panic-path, reason = "self.rank < nranks is established at Engine construction and never changes")
-        rt.mem_alloc(self.plan.per_rank[self.rank].static_bytes);
-        // Crash-adoption timers, armed only when this rank is a scheduled
-        // successor (crash-free runs stay event-for-event identical).
-        for (dead, at) in rt.planned_adoptions() {
-            rt.after_app(at + rt.crash_detect(), BspApp::Adopt(dead));
-        }
+        rt.mem_alloc(self.me().static_bytes);
         // Enter the round-0 exchange.
         rt.barrier_enter(0);
     }
 
-    fn on_app(&mut self, rt: &mut BCtx<'_, '_>, _src: usize, msg: BspApp) {
-        let BspApp::Adopt(dead) = msg;
-        // Idle ended by the adoption timer is recovery, like the replay
-        // that follows.
-        rt.classify_idle(TimeCategory::Recovery);
-        rt.note_takeover(dead);
-        let (next_round, ckpt_tasks) = match rt.ckpt_restore(dead) {
-            Some(bytes) => {
-                let mut r = CkptReader::new(&bytes);
-                let next_round = r.usize();
-                let tasks = r.u64();
-                r.finish();
-                (next_round, tasks)
-            }
-            None => (0, 0),
-        };
+    fn on_app(&mut self, _rt: &mut BCtx<'_, '_>, _src: usize, msg: Infallible) {
+        // Uninhabited: the empty match proves, rather than asserts, that
+        // BSP has no strategy messages.
+        match msg {}
+    }
+
+    fn on_adopt(&mut self, rt: &mut BCtx<'_, '_>, dead: usize, ckpt: Option<Vec<u8>>) {
+        // `(next round, tasks done)` as `on_barrier` wrote it; from scratch
+        // without one.
+        let (next_round, ckpt_tasks) =
+            ckpt.map_or((0, 0), |bytes| <(usize, u64)>::from_ckpt_bytes(&bytes));
         rt.note_recovered(ckpt_tasks);
         self.tasks_done += ckpt_tasks;
         // Replay the dead rank's remaining supersteps from the checkpoint
@@ -266,16 +252,13 @@ impl CoordinationStrategy for BspStrategy {
         // were replicated to survivors by the pre-crash collectives, so
         // the replay recomputes from checkpointed input — overhead and
         // compute only, all booked as recovery.
-        let dplan = Arc::clone(&self.plan);
         // gnb-lint: allow(panic-path, reason = "dead is a rank id from the engine's crash plan; per_rank has exactly nranks entries by construction")
-        let d = &dplan.per_rank[dead];
-        for r in next_round..dplan.rounds {
-            // gnb-lint: allow(panic-path, reason = "the replay loop is bounded by the plan's own round count; all per-round vectors have rounds entries")
-            rt.advance(d.overhead[r], TimeCategory::Recovery);
-            // gnb-lint: allow(panic-path, reason = "the replay loop is bounded by the plan's own round count; all per-round vectors have rounds entries")
-            rt.advance(d.compute[r], TimeCategory::Recovery);
-            // gnb-lint: allow(panic-path, reason = "the replay loop is bounded by the plan's own round count; all per-round vectors have rounds entries")
-            self.tasks_done += d.tasks[r];
+        let d = &self.plan.per_rank[dead];
+        let rest = d.overhead.iter().zip(&d.compute).zip(&d.tasks);
+        for ((&overhead, &compute), &tasks) in rest.skip(next_round) {
+            rt.advance(overhead, TimeCategory::Recovery);
+            rt.advance(compute, TimeCategory::Recovery);
+            self.tasks_done += tasks;
         }
     }
 
@@ -290,13 +273,8 @@ impl CoordinationStrategy for BspStrategy {
         // Superstep boundary checkpoint: rounds `0..id` are complete. A
         // successor restoring this replays from round `id` on.
         if rt.ckpt_enabled() {
-            let mut w = CkptWriter::new();
-            w.usize(round);
-            w.u64(self.tasks_done);
-            rt.ckpt_save(w.finish());
+            rt.ckpt_save((round, self.tasks_done).to_ckpt_bytes());
         }
-        // gnb-lint: allow(panic-path, reason = "self.rank < nranks is established at Engine construction and never changes")
-        let me = &self.plan.per_rank[self.rank];
         // The exchange itself (visible communication) plus the runtime's
         // superstep-level detect-and-reissue recovery. A dry budget means
         // the round's data never arrives: skip the compute and let the
@@ -306,17 +284,17 @@ impl CoordinationStrategy for BspStrategy {
             rt.barrier_enter(id + 1);
             return;
         }
+        let me = self.me();
         // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        rt.mem_alloc(me.alloc_bytes[round]);
+        let (alloc, tasks) = (me.alloc_bytes[round], me.tasks[round]);
+        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
+        let (overhead, compute) = (me.overhead[round], me.compute[round]);
+        rt.mem_alloc(alloc);
         // Compute everything associated with the received reads.
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        rt.advance(me.overhead[round], TimeCategory::Overhead);
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        rt.advance(me.compute[round], TimeCategory::Compute);
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        self.tasks_done += me.tasks[round];
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        rt.mem_free(me.alloc_bytes[round]);
+        rt.advance(overhead, TimeCategory::Overhead);
+        rt.advance(compute, TimeCategory::Compute);
+        self.tasks_done += tasks;
+        rt.mem_free(alloc);
         rt.barrier_enter(id + 1);
     }
 

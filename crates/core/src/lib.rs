@@ -1,16 +1,19 @@
 //! Many-to-many long-read alignment with bulk-synchronous and asynchronous
 //! distributed coordination — the ICPP 2021 study's contribution.
 //!
-//! Two coordination strategies compute the same fixed task assignment:
+//! Two coordination protocols compute the same fixed task assignment:
 //!
 //! * [`bsp`] — the bulk-synchronous code (paper §3.1): memory-limited,
 //!   dynamically sized exchange–compute supersteps built on an
 //!   `alltoallv` cost model, maximising bandwidth utilisation and message
 //!   aggregation;
-//! * [`async_alg`] — the asynchronous code (paper §3.2): a pull-based
-//!   one-RPC-per-remote-read algorithm with callbacks, a bounded
-//!   outstanding-request window, split-phase barrier overlap, and a single
-//!   exit barrier, maximising injection speed and communication hiding.
+//! * [`pull`] — the asynchronous code (paper §3.2): a pull-based algorithm
+//!   with callbacks, a bounded outstanding-request window, split-phase
+//!   barrier overlap, and a single exit barrier, maximising injection
+//!   speed and communication hiding. How a wanted read reaches its owner
+//!   is its wire policy: one RPC per remote read ([`async_alg`], the
+//!   paper's code) or per-owner batches ([`agg_async`], the §5 middle
+//!   ground).
 //!
 //! Both run as rank programs on the `gnb-sim` discrete-event machine (the
 //! Cori-KNL substitute) for the scaling study, while [`pipeline`] provides
@@ -48,6 +51,7 @@ pub mod kmer_stage;
 pub mod machine;
 pub mod pipeline;
 pub mod prelude_stage;
+pub mod pull;
 pub mod runtime;
 pub mod workload;
 

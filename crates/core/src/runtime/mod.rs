@@ -2,26 +2,28 @@
 //! coordination strategy.
 //!
 //! The paper compares two coordination codes (BSP §3.1, async §3.2); its
-//! §5 asks what sits between them. Before this module existed, each code
-//! hand-rolled the same plumbing — typed message dispatch over the DES
-//! [`Ctx`], exponential-backoff retry with attempt-tagged dedup, recovery
-//! counter / [`TimeCategory`] ledger bookkeeping, race-detector state-key
-//! instrumentation — so a third strategy meant a third copy of all of it.
-//! Now the split is:
+//! §5 asks what sits between them. Everything a strategy would otherwise
+//! hand-roll to answer that lives here once, so a new strategy is a
+//! protocol and nothing else. The split is:
 //!
 //! * **runtime-owned** ([`RankRuntime`] + [`RuntimeSvc`]): the wire enum
 //!   [`RtMsg`] and its dispatch; tracked-request issue / retry / give-up
 //!   (timers armed through the never-faulted self-timer path); duplicate
 //!   -reply suppression with per-attempt tags; the owner-side service
-//!   cost; collective detect-and-reissue
-//!   recovery; idle classification of the runtime's own events (replies
-//!   → `Comm`, retry timers → `Recovery`); race keys for request state;
-//!   the unified [`RecoveryStats`] / [`RetryFailure`] ledger.
+//!   cost; collective detect-and-reissue recovery; **shard adoption** —
+//!   arming one [`RtMsg::Adopt`] self-timer per crash this rank succeeds,
+//!   before the strategy starts, and on expiry booking the gap, counting
+//!   the takeover and reading the dead rank's checkpoint back; idle
+//!   classification of the runtime's own events (replies → `Comm`, retry
+//!   timers and adoptions → `Recovery`); race keys for request state; the
+//!   unified [`RecoveryStats`] / [`RetryFailure`] ledger.
 //! * **strategy-owned** (a [`CoordinationStrategy`] impl): the protocol
 //!   state machine — what to request when, how to serve a request, what
-//!   to do with an arrived payload, when to enter barriers — plus
-//!   classification of idle ended by its *own* events and memory-tracker
-//!   calls for state it allocates.
+//!   to do with an arrived payload, when to enter barriers, *when* to
+//!   checkpoint and what the bytes mean, what to replay of an adopted
+//!   shard ([`CoordinationStrategy::on_adopt`]) — plus classification of
+//!   idle ended by its *own* events and memory-tracker calls for state it
+//!   allocates.
 //!
 //! Strategies talk to the engine exclusively through [`RtCtx`], which
 //! wraps the raw [`Ctx`] so application messages, tracked requests and
@@ -29,13 +31,19 @@
 //!
 //! # Adding a strategy
 //!
-//! Implement [`CoordinationStrategy`] (see [`crate::agg_async`] for a
-//! complete small example): pick an `App` message type for self-timers
-//! and strategy-internal messages, a `Req`/`Rep` payload pair for tracked
-//! requests, drive requests with [`RtCtx::send_tracked`], serve them with
-//! [`RtCtx::serve_reply`], and let the runtime deliver `on_reply` /
-//! `on_give_up`. Wrap it in [`RankRuntime::new`] and add an
-//! [`crate::driver::Algorithm`] arm in the driver.
+//! Two shapes. A new way to move reads under the pull protocol is a
+//! [`crate::pull::WirePolicy`] (see [`crate::agg_async`] for a complete
+//! small example): say how a wanted read reaches its owner, what the
+//! owner looks up, and which groups a reply releases; window, polling,
+//! checkpoints, adoption and exit come with [`crate::pull::PullStrategy`].
+//! A new protocol implements [`CoordinationStrategy`] itself (see
+//! [`crate::bsp`]): pick an `App` message type for self-timers and
+//! strategy-internal messages ([`std::convert::Infallible`] for none), a
+//! `Req`/`Rep` payload pair for tracked requests, drive requests with
+//! [`RtCtx::send_tracked`], serve them with [`RtCtx::serve_reply`], let
+//! the runtime deliver `on_reply` / `on_give_up`, and replay an adopted
+//! shard in `on_adopt`. Either way, wrap it in [`RankRuntime::new`] and
+//! add an [`crate::driver::Algorithm`] arm in the driver.
 
 mod svc;
 
@@ -94,6 +102,15 @@ pub enum RtMsg<A, Q, P> {
         key: u64,
         /// The attempt this timer guards.
         attempt: u32,
+    },
+    /// Runtime self-timer: this rank is the deterministic successor of
+    /// crashed rank `dead` and has just detected its death
+    /// ([`RuntimeConfig::crash_detect`] after the crash). Armed at start
+    /// for every scheduled crash this rank succeeds; dispatches to
+    /// [`CoordinationStrategy::on_adopt`].
+    Adopt {
+        /// The crashed rank whose shard this rank adopts.
+        dead: usize,
     },
 }
 
@@ -172,6 +189,20 @@ pub trait CoordinationStrategy {
         unreachable!("strategy declared no tracked requests");
     }
 
+    /// This rank adopts crashed rank `dead`'s shard. The runtime has
+    /// booked the idle gap as [`TimeCategory::Recovery`], counted the
+    /// takeover and read `dead`'s latest checkpoint — `ckpt`, `None` if it
+    /// never completed one. The strategy replays whatever `ckpt` does not
+    /// cover (as recovery work) and credits what it does cover with
+    /// [`RtCtx::note_recovered`]. [`RtCtx::adoptions_pending`] no longer
+    /// counts this adoption.
+    fn on_adopt(
+        &mut self,
+        rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>,
+        dead: usize,
+        ckpt: Option<Vec<u8>>,
+    );
+
     /// A barrier this rank entered completed.
     fn on_barrier(&mut self, rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>, id: u64);
 
@@ -217,11 +248,6 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         self.ctx.classify_idle(cat);
     }
 
-    /// The as-yet-unclassified idle gap for this handler.
-    pub fn idle_gap(&self) -> SimTime {
-        self.ctx.idle_gap()
-    }
-
     /// Enters barrier `id` (see [`Ctx::barrier_enter`]).
     pub fn barrier_enter(&mut self, id: u64) {
         self.ctx.barrier_enter(id);
@@ -237,20 +263,10 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         self.ctx.mem_free(bytes);
     }
 
-    /// Current allocation on this rank.
-    pub fn mem_current(&self) -> u64 {
-        self.ctx.mem_current()
-    }
-
     /// Declares that this handler reads logical state `key` (race
     /// detector; see [`Ctx::race_read`]).
     pub fn race_read(&mut self, key: u64) {
         self.ctx.race_read(key);
-    }
-
-    /// Declares that this handler writes logical state `key`.
-    pub fn race_write(&mut self, key: u64) {
-        self.ctx.race_write(key);
     }
 
     /// Sends a strategy message to `dst` through the network model.
@@ -265,71 +281,25 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         self.ctx.after(delay, RtMsg::App(msg));
     }
 
-    // ---- runtime services ----
-
-    /// Whether the network can lose/duplicate/delay messages (strategies
-    /// may batch differently on a reliable wire).
-    pub fn unreliable(&self) -> bool {
-        self.svc.cfg.unreliable
-    }
-
-    /// Unified recovery counters so far (this rank).
-    pub fn recovery(&self) -> RecoveryStats {
-        self.svc.counters
-    }
-
     // ---- crash awareness and checkpointing ----
 
-    /// The configured crash-stop response policy.
-    pub fn crash_response(&self) -> CrashResponse {
-        self.svc.cfg.crash_response
-    }
-
-    /// Whether `rank` is crash-dead at this rank's current virtual time.
-    pub fn crashed_by_now(&self, rank: usize) -> bool {
-        !self.svc.fault.crash.is_empty() && self.svc.fault.crash.crashed_by(rank, self.ctx.now())
-    }
-
-    /// The deterministic takeover successor of `dead`.
-    pub fn successor_of(&self, dead: usize) -> usize {
-        self.svc.fault.crash.successor(dead, self.ctx.nranks())
-    }
-
-    /// `owner` if alive for the whole run, else its takeover successor.
-    /// Routing adopted re-fetches through this keeps them off ranks that
-    /// will themselves die.
+    /// `owner` if alive for the whole run, else its deterministic takeover
+    /// successor. Routing adopted re-fetches through this keeps them off
+    /// ranks that will themselves die.
     pub fn effective_owner(&self, owner: usize) -> usize {
-        if self.svc.fault.crash.crash_of(owner).is_some() {
-            self.successor_of(owner)
+        let crash = &self.svc.fault.crash;
+        if crash.crash_of(owner).is_some() {
+            crash.successor(owner, self.ctx.nranks())
         } else {
             owner
         }
     }
 
-    /// Detection latency between a crash and its successor acting on it.
-    pub fn crash_detect(&self) -> SimTime {
-        self.svc.cfg.crash_detect
-    }
-
-    /// The crashes this rank is the designated successor for, as
-    /// `(dead_rank, crash_time)` pairs in deterministic order. Empty when
-    /// no crashes are scheduled or the response policy is
-    /// [`CrashResponse::Degrade`].
-    pub fn planned_adoptions(&self) -> Vec<(usize, SimTime)> {
-        if self.svc.fault.crash.is_empty() || self.svc.cfg.crash_response != CrashResponse::Takeover
-        {
-            return Vec::new();
-        }
-        let me = self.svc.rank;
-        let nranks = self.ctx.nranks();
-        self.svc
-            .fault
-            .crash
-            .crashes
-            .iter()
-            .filter(|c| self.svc.fault.crash.successor(c.rank, nranks) == me)
-            .map(|c| (c.rank, c.at))
-            .collect()
+    /// Adoptions armed for this rank that have not fired yet. A strategy
+    /// must not leave the run (enter its exit barrier) while this is
+    /// non-zero: a dead peer's shard is still coming its way.
+    pub fn adoptions_pending(&self) -> usize {
+        self.svc.adoptions_pending
     }
 
     /// Whether periodic checkpointing is on (crashes scheduled and a
@@ -365,7 +335,7 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
     /// I/O as [`TimeCategory::Recovery`] and emitting a
     /// [`InstantKind::Restore`] instant. `None` when the dead rank never
     /// completed a checkpoint (the successor then replays from scratch).
-    pub fn ckpt_restore(&mut self, dead: usize) -> Option<Vec<u8>> {
+    fn ckpt_restore(&mut self, dead: usize) -> Option<Vec<u8>> {
         let store = self.svc.ckpt_store.as_ref()?;
         let bytes = store.borrow().latest(dead).map(|rec| rec.bytes.clone())?;
         let cost = self.svc.cfg.ckpt.io_cost(bytes.len());
@@ -373,12 +343,6 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         self.svc.counters.restores += 1;
         self.ctx.obs_instant(InstantKind::Restore, dead as u64);
         Some(bytes)
-    }
-
-    /// Records that this rank adopted dead rank `dead`'s shard.
-    pub fn note_takeover(&mut self, dead: usize) {
-        self.svc.counters.takeovers += 1;
-        self.ctx.obs_instant(InstantKind::Takeover, dead as u64);
     }
 
     /// Records `n` task completions recovered from a checkpoint (work the
@@ -491,6 +455,39 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
     }
 
     // ---- runtime-internal dispatch (called by RankRuntime) ----
+
+    /// Arms one [`RtMsg::Adopt`] self-timer per scheduled crash this rank
+    /// is the designated successor of, `crash_detect` after the death.
+    /// Arms nothing when no crashes are scheduled or the response policy
+    /// is [`CrashResponse::Degrade`], so such runs stay event-for-event
+    /// identical to crash-unaware ones.
+    fn arm_adoptions(&mut self) {
+        let crash = &self.svc.fault.crash;
+        if crash.is_empty() || self.svc.cfg.crash_response != CrashResponse::Takeover {
+            return;
+        }
+        let nranks = self.ctx.nranks();
+        for c in &crash.crashes {
+            if crash.successor(c.rank, nranks) == self.svc.rank {
+                self.svc.adoptions_pending += 1;
+                self.ctx.after(
+                    c.at + self.svc.cfg.crash_detect,
+                    RtMsg::Adopt { dead: c.rank },
+                );
+            }
+        }
+    }
+
+    /// Adoption preamble: idle ended by the adoption timer is recovery,
+    /// like the replay that follows; the takeover is counted and `dead`'s
+    /// latest checkpoint read back for the strategy.
+    fn adopt(&mut self, dead: usize) -> Option<Vec<u8>> {
+        self.ctx.classify_idle(TimeCategory::Recovery);
+        self.svc.adoptions_pending -= 1;
+        self.svc.counters.takeovers += 1;
+        self.ctx.obs_instant(InstantKind::Takeover, dead as u64);
+        self.ckpt_restore(dead)
+    }
 
     /// Reply preamble: race key, attempt-tagged dedup, idle
     /// classification, arrival marking. Returns `true` when the strategy
@@ -671,6 +668,7 @@ impl<S: CoordinationStrategy> Program<StrategyMsg<S>> for RankRuntime<S> {
             ctx,
             svc: &mut self.svc,
         };
+        rt.arm_adoptions();
         self.strategy.on_start(&mut rt);
     }
 
@@ -702,6 +700,10 @@ impl<S: CoordinationStrategy> Program<StrategyMsg<S>> for RankRuntime<S> {
                     self.strategy.on_give_up(&mut rt, key);
                 }
             }
+            RtMsg::Adopt { dead } => {
+                let ckpt = rt.adopt(dead);
+                self.strategy.on_adopt(&mut rt, dead, ckpt);
+            }
         }
     }
 
@@ -711,5 +713,78 @@ impl<S: CoordinationStrategy> Program<StrategyMsg<S>> for RankRuntime<S> {
             svc: &mut self.svc,
         };
         self.strategy.on_barrier(&mut rt, id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::RunConfig;
+    use crate::machine::MachineConfig;
+    use gnb_sim::fault::CrashPlan;
+    use gnb_sim::Engine;
+    use std::convert::Infallible;
+
+    /// What a strategy can see of the adoption contract.
+    #[derive(Default)]
+    struct Probe {
+        pending_at_start: usize,
+        /// `(now, dead, checkpoint present, pending inside the hook)`.
+        adoptions: Vec<(SimTime, usize, bool, usize)>,
+    }
+
+    type PCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, (), ()>;
+
+    impl CoordinationStrategy for Probe {
+        type App = Infallible;
+        type Req = ();
+        type Rep = ();
+
+        fn on_start(&mut self, rt: &mut PCtx<'_, '_>) {
+            self.pending_at_start = rt.adoptions_pending();
+        }
+
+        fn on_adopt(&mut self, rt: &mut PCtx<'_, '_>, dead: usize, ckpt: Option<Vec<u8>>) {
+            let seen = (rt.now(), dead, ckpt.is_some(), rt.adoptions_pending());
+            self.adoptions.push(seen);
+        }
+
+        fn on_barrier(&mut self, _rt: &mut PCtx<'_, '_>, _id: u64) {}
+
+        fn tasks_done(&self) -> u64 {
+            0
+        }
+
+        fn checksum(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn runtime_arms_and_dispatches_adoption() {
+        let machine = MachineConfig::cori_knl(1).with_cores_per_node(2);
+        let cfg = RunConfig {
+            crash: CrashPlan::none().with_crash(0, 5_000, None),
+            crash_detect_ns: 300,
+            ..RunConfig::default()
+        };
+        let plan = Arc::new(FaultPlan::default().with_crashes(cfg.crash.clone()));
+        let rt_cfg = RuntimeConfig::from_run(&machine, &cfg);
+        let mut progs: Vec<RankRuntime<Probe>> = (0..2)
+            .map(|r| RankRuntime::new(Probe::default(), r, rt_cfg, Arc::clone(&plan), None))
+            .collect();
+        Engine::new(2, machine.net)
+            .with_faults(FaultPlan::clone(&plan))
+            .run(&mut progs);
+        // Rank 1 succeeds rank 0: armed before its `on_start`, fired once
+        // at death + detection, no checkpoint to restore, nothing pending
+        // inside the hook.
+        let (dead, succ) = (progs[0].strategy(), progs[1].strategy());
+        assert_eq!(dead.pending_at_start, 0);
+        assert!(dead.adoptions.is_empty());
+        assert_eq!(succ.pending_at_start, 1);
+        assert_eq!(succ.adoptions, [(SimTime::from_ns(5_300), 0, false, 0)]);
+        let counters = progs[1].recovery();
+        assert_eq!((counters.takeovers, counters.restores), (1, 0));
     }
 }

@@ -1,7 +1,7 @@
 //! Runtime-owned services: the per-rank request ledger, the
 //! exponential-backoff retry machinery with attempt-tagged dedup, and the
-//! unified recovery counters — everything [`async_alg`](crate::async_alg) and
-//! [`bsp`](crate::bsp) used to hand-roll separately.
+//! unified recovery counters — everything [`pull`](crate::pull) and
+//! [`bsp`](crate::bsp) would otherwise hand-roll separately.
 //!
 //! A *tracked request* is a `(key, attempt)` pair: the key names the thing
 //! being fetched (a read id, a batch id) and the attempt is a per-request
@@ -174,6 +174,8 @@ pub struct RuntimeSvc<Q> {
     pub(crate) ckpt_store: Option<Rc<RefCell<CkptStore>>>,
     /// This rank's monotone checkpoint epoch counter.
     pub(crate) ckpt_epoch: u64,
+    /// Adoption timers armed at start that have not fired yet.
+    pub(crate) adoptions_pending: usize,
 }
 
 impl<Q> RuntimeSvc<Q> {
@@ -192,6 +194,7 @@ impl<Q> RuntimeSvc<Q> {
             failed: None,
             ckpt_store,
             ckpt_epoch: 0,
+            adoptions_pending: 0,
         }
     }
 

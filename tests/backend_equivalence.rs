@@ -202,13 +202,17 @@ fn rpc_window_is_performance_only() {
     let m = machine(2, 8);
     let w = workload(64, 6, m.nranks());
     let mut checksums = Vec::new();
-    for window in [1usize, 4, 64, 4096] {
+    // A window of zero is clamped to one, like the other pull-protocol
+    // knobs: a configuration slip must not surface as a task mismatch.
+    for window in [0usize, 1, 4, 64, 4096] {
         let cfg = RunConfig {
             rpc_window: window,
             ..RunConfig::default()
         };
-        let r = run_sim(&w, &m, Algorithm::Async, &cfg);
-        checksums.push(r.task_checksum);
+        for algo in [Algorithm::Async, Algorithm::AggAsync] {
+            let r = run_sim(&w, &m, algo, &cfg);
+            checksums.push(r.task_checksum);
+        }
     }
     assert!(checksums.windows(2).all(|p| p[0] == p[1]));
 }
