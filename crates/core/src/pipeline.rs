@@ -12,7 +12,7 @@ use gnb_align::Candidate;
 use gnb_genome::ReadSet;
 use gnb_kmer::{count_kmers, BellaModel, SeedIndex};
 use gnb_overlap::candidates::generate_candidates;
-use gnb_overlap::synth::true_overlaps;
+use gnb_overlap::synth::{recall, true_overlaps};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -98,6 +98,22 @@ impl PipelineResult {
         self.outcome.accepted_count()
     }
 
+    /// Precision of the accepted alignments, as `(true, accepted)`: how
+    /// many accepted alignments join reads whose fragments truly overlap.
+    pub fn precision(&self) -> (usize, usize) {
+        let accepted = self.outcome.records.iter().zip(&self.overlaps);
+        let accepted = accepted.filter(|(record, _)| record.accepted);
+        let true_ones = accepted.clone().filter(|&(_, &ov)| ov > 0).count();
+        (true_ones, accepted.count())
+    }
+
+    /// Recall of the candidate tasks, as `(found, true pairs)` over the
+    /// read pairs overlapping by at least `min_overlap` reference bases
+    /// (see [`recall`]; quadratic in the read count, so never timed).
+    pub fn recall(&self, reads: &ReadSet, min_overlap: usize) -> (usize, usize) {
+        recall(reads, &self.tasks, min_overlap)
+    }
+
     /// Tasks per read (Table 1 density), given the read count.
     pub fn tasks_per_read(&self, reads: usize) -> f64 {
         if reads == 0 {
@@ -130,6 +146,7 @@ pub fn run_pipeline(reads: &ReadSet, params: &PipelineParams) -> PipelineResult 
         SeedMode::AllKmers => SeedIndex::build(reads, &counts),
         SeedMode::Minimizers { w } => SeedIndex::build_minimizers(reads, &counts, w),
     };
+    drop(counts);
     let t_index = t2.elapsed();
 
     // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
@@ -191,16 +208,7 @@ mod tests {
     #[test]
     fn accepted_alignments_are_mostly_true_overlaps() {
         let (_, res) = small_run();
-        let mut accepted_true = 0usize;
-        let mut accepted = 0usize;
-        for (rec, &ov) in res.outcome.records.iter().zip(&res.overlaps) {
-            if rec.accepted {
-                accepted += 1;
-                if ov > 0 {
-                    accepted_true += 1;
-                }
-            }
-        }
+        let (accepted_true, accepted) = res.precision();
         assert!(accepted > 0);
         let precision = accepted_true as f64 / accepted as f64;
         assert!(

@@ -1,126 +1,153 @@
-//! Parallel k-mer counting over a read set.
+//! k-mer counting over a read set, as sorted runs.
 //!
-//! The counter shards the k-mer space by [`Kmer::hash64`] into `S` lock-
-//! protected hash maps. Reads are processed in rayon-parallel chunks; each
-//! worker accumulates a small local buffer per shard and flushes it in bulk,
-//! so lock hold times stay short and contention low. This mirrors the
-//! owner-computes k-mer distribution DiBELLA performs across ranks, shrunk
-//! to a single address space.
+//! The counter partitions the k-mer space by the top bits of the packed
+//! k-mer, gathers every canonical k-mer into its partition, radix-sorts
+//! each partition and run-length encodes it. Partitions are independent
+//! units of work; laid end to end they are one ascending array of
+//! `(kmer, count)` runs. A lookup is a bucket pick plus a short binary
+//! search, the BELLA filter an in-place retain, and the seed index ranks
+//! its k-mers against the same array. This mirrors the owner-computes,
+//! sort-based k-mer analysis diBELLA performs across ranks, shrunk to a
+//! single address space.
 
 use crate::kmer::{kmers_of, Kmer};
 use gnb_genome::ReadSet;
-use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Sharded k-mer count table.
+/// Counting sorts the partitions keyed by this many top bits separately.
+const PART_BITS: usize = 6;
+/// Lookups start from a directory over this many top bits, which leaves
+/// a few k-mers per bucket once the BELLA filter has run.
+const BUCKET_BITS: usize = 16;
+/// Radix-sort digit width.
+const DIGIT_BITS: usize = 10;
+
+/// The top `bits` bits of `km` at width `k`.
+fn top_bits(km: Kmer, k: usize, bits: usize) -> usize {
+    (km.0 >> (2 * k).saturating_sub(bits)) as usize
+}
+
+/// Stable LSD radix sort of `v` by the low `bits` bits of `key`.
+pub(crate) fn radix_sort<T: Copy>(v: &mut Vec<T>, bits: usize, key: impl Fn(&T) -> u64) {
+    let mut buf = v.clone();
+    for shift in (0..bits).step_by(DIGIT_BITS) {
+        let digit = |x: &T| (key(x) >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        let mut next = [0usize; 1 << DIGIT_BITS];
+        for x in v.iter() {
+            next[digit(x)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut next {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for x in v.iter() {
+            buf[next[digit(x)]] = *x;
+            next[digit(x)] += 1;
+        }
+        std::mem::swap(v, &mut buf);
+    }
+}
+
+/// Sorted-run k-mer count table.
 #[derive(Debug)]
 pub struct KmerCounts {
-    shards: Vec<HashMap<Kmer, u32>>,
-    shard_bits: u32,
+    /// Distinct k-mers, ascending, with their counts; bucket `b` is
+    /// `runs[buckets[b]..buckets[b + 1]]`.
+    runs: Vec<(Kmer, u32)>,
+    buckets: Vec<u32>,
     /// The k this table was counted at.
     pub k: usize,
 }
 
 impl KmerCounts {
-    #[inline]
-    fn shard_of(&self, km: Kmer) -> usize {
-        (km.hash64() >> (64 - self.shard_bits)) as usize
+    /// Wraps ascending `runs`: shrinks them and indexes their buckets.
+    fn from_runs(mut runs: Vec<(Kmer, u32)>, k: usize) -> KmerCounts {
+        runs.shrink_to_fit();
+        let mut buckets = vec![0; (1 << BUCKET_BITS) + 1];
+        for &(km, _) in &runs {
+            buckets[top_bits(km, k, BUCKET_BITS) + 1] += 1;
+        }
+        for b in 1..buckets.len() {
+            buckets[b] += buckets[b - 1];
+        }
+        KmerCounts { runs, buckets, k }
+    }
+
+    /// Position of `km` among the ascending distinct k-mers, if present.
+    pub(crate) fn rank(&self, km: Kmer) -> Option<usize> {
+        let b = top_bits(km, self.k, BUCKET_BITS);
+        let lo = self.buckets[b] as usize;
+        let bucket = &self.runs[lo..self.buckets[b + 1] as usize];
+        Some(lo + bucket.binary_search_by_key(&km, |&(x, _)| x).ok()?)
+    }
+
+    /// The distinct k-mer at `rank`.
+    pub(crate) fn kmer_at(&self, rank: usize) -> Kmer {
+        self.runs[rank].0
     }
 
     /// Count of `km` (0 if absent).
     pub fn get(&self, km: Kmer) -> u32 {
-        self.shards[self.shard_of(km)]
-            .get(&km)
-            .copied()
-            .unwrap_or(0)
+        self.rank(km).map_or(0, |i| self.runs[i].1)
     }
 
     /// Number of distinct k-mers.
     pub fn distinct(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.runs.len()
     }
 
     /// Total k-mer occurrences (sum of all counts).
     pub fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(|&c| c as u64)
-            .sum()
+        self.runs.iter().map(|&(_, c)| c as u64).sum()
     }
 
-    /// Iterates all `(kmer, count)` pairs (shard order; not sorted).
+    /// Iterates all `(kmer, count)` pairs in ascending k-mer order.
     pub fn iter(&self) -> impl Iterator<Item = (Kmer, u32)> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(&km, &c)| (km, c)))
+        self.runs.iter().copied()
     }
 
     /// Retains only k-mers whose count lies in `[lo, hi]`, dropping the
     /// rest. Called with the BELLA reliable interval.
     pub fn filter_frequency(&mut self, lo: u32, hi: u32) {
-        for shard in &mut self.shards {
-            shard.retain(|_, c| *c >= lo && *c <= hi);
-        }
+        self.runs.retain(|&(_, c)| (lo..=hi).contains(&c));
+        *self = KmerCounts::from_runs(std::mem::take(&mut self.runs), self.k);
     }
 }
 
-/// Counts canonical k-mers of all reads in parallel.
+/// Counts canonical k-mers of all reads: gathers them into partitions,
+/// then sorts and run-length encodes each partition independently.
 ///
-/// Deterministic: the resulting multiset of counts is independent of thread
-/// interleaving (addition is commutative and shards are exact partitions).
+/// Deterministic: each partition's runs depend only on the multiset of
+/// k-mers gathered into it, never on the order they arrived in.
 pub fn count_kmers(reads: &ReadSet, k: usize) -> KmerCounts {
-    let shard_bits = 6u32; // 64 shards: plenty for tens of threads
-    let nshards = 1usize << shard_bits;
-    let shards: Vec<Mutex<HashMap<Kmer, u32>>> =
-        (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
-
-    let ids: Vec<usize> = (0..reads.len()).collect();
-    ids.par_chunks(256).for_each(|chunk| {
-        // Local buffers: one vector per shard, flushed in bulk.
-        let mut local: Vec<Vec<Kmer>> = vec![Vec::new(); nshards];
-        for &i in chunk {
-            for (_, km) in kmers_of(reads.read(i), k) {
-                let s = (km.hash64() >> (64 - shard_bits)) as usize;
-                local[s].push(km);
-            }
-        }
-        for (s, buf) in local.into_iter().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            let mut guard = shards[s].lock();
-            for km in buf {
-                *guard.entry(km).or_insert(0) += 1;
-            }
-        }
-    });
-
-    KmerCounts {
-        shards: shards.into_iter().map(|m| m.into_inner()).collect(),
-        shard_bits,
-        k,
-    }
-}
-
-/// Serial reference implementation, used by tests to validate the parallel
-/// counter and by callers who want to avoid rayon overhead on tiny inputs.
-pub fn count_kmers_serial(reads: &ReadSet, k: usize) -> KmerCounts {
-    let shard_bits = 6u32;
-    let nshards = 1usize << shard_bits;
-    let mut shards: Vec<HashMap<Kmer, u32>> = vec![HashMap::new(); nshards];
+    let mut parts: Vec<Vec<Kmer>> = (0..1 << PART_BITS).map(|_| Vec::new()).collect();
     for (_, seq) in reads.iter() {
         for (_, km) in kmers_of(seq, k) {
-            let s = (km.hash64() >> (64 - shard_bits)) as usize;
-            *shards[s].entry(km).or_insert(0) += 1;
+            parts[top_bits(km, k, PART_BITS)].push(km);
         }
     }
-    KmerCounts {
-        shards,
-        shard_bits,
-        k,
+    let mut runs = Vec::new();
+    for mut part in parts {
+        // The partition fixes the top bits: sort on the rest.
+        radix_sort(&mut part, (2 * k).saturating_sub(PART_BITS), |km| km.0);
+        runs.extend(
+            part.chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32)),
+        );
     }
+    KmerCounts::from_runs(runs, k)
+}
+
+/// Serial reference implementation over an ordered map, independent of
+/// the sort-based counter; the tests' oracle for [`count_kmers`].
+pub fn count_kmers_serial(reads: &ReadSet, k: usize) -> KmerCounts {
+    let mut map: BTreeMap<Kmer, u32> = BTreeMap::new();
+    for (_, seq) in reads.iter() {
+        for (_, km) in kmers_of(seq, k) {
+            *map.entry(km).or_insert(0) += 1;
+        }
+    }
+    KmerCounts::from_runs(map.into_iter().collect(), k)
 }
 
 #[cfg(test)]

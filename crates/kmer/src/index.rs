@@ -3,15 +3,18 @@
 //! After the BELLA filter, every retained k-mer's occurrence list is the
 //! witness set for candidate overlaps: any two reads on the same posting
 //! list are a candidate pair, with the k-mer's positions in each read as
-//! the alignment seed (paper Fig. 1). Lists are built in parallel with the
-//! same sharding scheme as counting.
+//! the alignment seed (paper Fig. 1).
+//!
+//! The lists are built by sorting. Each read's windows are sorted by
+//! `(kmer, pos)`, so the head of every k-mer's run is the read's first
+//! occurrence; the heads still in the count table are ranked against its
+//! ascending k-mers, and a stable sort by rank lays the postings out in
+//! one compressed-sparse-row store: keys, `u32` offsets, one posting array.
 
-use crate::count::KmerCounts;
+use crate::count::{radix_sort, KmerCounts};
 use crate::kmer::{kmers_oriented, Kmer};
+use crate::minimizer::minimizers;
 use gnb_genome::ReadSet;
-use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// One occurrence of a retained k-mer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,11 +28,14 @@ pub struct Posting {
     pub fwd: bool,
 }
 
-/// Posting lists of retained k-mers.
+/// Posting lists of retained k-mers, in compressed sparse rows: keys
+/// ascend, and the list of `keys[i]` is `postings[offsets[i]..offsets[i +
+/// 1]]`, sorted by read with one posting per read.
 #[derive(Debug)]
 pub struct SeedIndex {
-    shards: Vec<HashMap<Kmer, Vec<Posting>>>,
-    shard_bits: u32,
+    keys: Vec<Kmer>,
+    offsets: Vec<u32>,
+    postings: Vec<Posting>,
     /// k the index was built at.
     pub k: usize,
 }
@@ -44,62 +50,9 @@ impl SeedIndex {
     /// exactly one seed per candidate pair.
     pub fn build(reads: &ReadSet, counts: &KmerCounts) -> Self {
         let k = counts.k;
-        let shard_bits = 6u32;
-        let nshards = 1usize << shard_bits;
-        let shards: Vec<Mutex<HashMap<Kmer, Vec<Posting>>>> =
-            (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
-
-        let ids: Vec<usize> = (0..reads.len()).collect();
-        ids.par_chunks(256).for_each(|chunk| {
-            let mut local: Vec<Vec<(Kmer, Posting)>> = vec![Vec::new(); nshards];
-            let mut seen_in_read: Vec<Kmer> = Vec::new();
-            for &i in chunk {
-                seen_in_read.clear();
-                for (pos, km, fwd) in kmers_oriented(reads.read(i), k) {
-                    if counts.get(km) == 0 {
-                        continue; // filtered out
-                    }
-                    // Keep first occurrence per read only.
-                    if seen_in_read.contains(&km) {
-                        continue;
-                    }
-                    seen_in_read.push(km);
-                    let s = (km.hash64() >> (64 - shard_bits)) as usize;
-                    local[s].push((
-                        km,
-                        Posting {
-                            read: i as u32,
-                            pos: pos as u32,
-                            fwd,
-                        },
-                    ));
-                }
-            }
-            for (s, buf) in local.into_iter().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let mut guard = shards[s].lock();
-                for (km, p) in buf {
-                    guard.entry(km).or_default().push(p);
-                }
-            }
-        });
-
-        let mut shards: Vec<HashMap<Kmer, Vec<Posting>>> =
-            shards.into_iter().map(|m| m.into_inner()).collect();
-        // Sort posting lists by read id so candidate generation is
-        // deterministic regardless of thread interleaving.
-        for shard in &mut shards {
-            for list in shard.values_mut() {
-                list.sort_unstable_by_key(|p| (p.read, p.pos));
-            }
-        }
-        SeedIndex {
-            shards,
-            shard_bits,
-            k,
-        }
+        Self::from_windows(reads, counts, |seq| {
+            kmers_oriented(seq, k).map(|(pos, km, fwd)| (km, pos as u32, fwd))
+        })
     }
 
     /// As [`SeedIndex::build`], but each read contributes only its
@@ -110,83 +63,79 @@ impl SeedIndex {
     /// dropped by the BELLA interval contributes nothing.
     pub fn build_minimizers(reads: &ReadSet, counts: &KmerCounts, w: usize) -> Self {
         let k = counts.k;
-        let shard_bits = 6u32;
-        let nshards = 1usize << shard_bits;
-        let shards: Vec<Mutex<HashMap<Kmer, Vec<Posting>>>> =
-            (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
+        Self::from_windows(reads, counts, |seq| {
+            minimizers(seq, k, w)
+                .into_iter()
+                .map(|m| (m.kmer, m.pos, m.fwd))
+        })
+    }
 
-        let ids: Vec<usize> = (0..reads.len()).collect();
-        ids.par_chunks(256).for_each(|chunk| {
-            let mut local: Vec<Vec<(Kmer, Posting)>> = vec![Vec::new(); nshards];
-            let mut seen_in_read: Vec<Kmer> = Vec::new();
-            for &i in chunk {
-                seen_in_read.clear();
-                for m in crate::minimizer::minimizers(reads.read(i), k, w) {
-                    if counts.get(m.kmer) == 0 || seen_in_read.contains(&m.kmer) {
-                        continue;
-                    }
-                    seen_in_read.push(m.kmer);
-                    let s = (m.kmer.hash64() >> (64 - shard_bits)) as usize;
-                    local[s].push((
-                        m.kmer,
-                        Posting {
-                            read: i as u32,
-                            pos: m.pos,
-                            fwd: m.fwd,
-                        },
-                    ));
-                }
-            }
-            for (s, buf) in local.into_iter().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let mut guard = shards[s].lock();
-                for (km, p) in buf {
-                    guard.entry(km).or_default().push(p);
-                }
-            }
-        });
+    /// The one builder; the seed modes differ only in `windows`, which
+    /// yields a read's `(kmer, pos, fwd)` seeds in position order.
+    fn from_windows<'a, I>(
+        reads: &'a ReadSet,
+        counts: &KmerCounts,
+        windows: impl Fn(&'a [u8]) -> I,
+    ) -> Self
+    where
+        I: Iterator<Item = (Kmer, u32, bool)>,
+    {
+        // (rank in the count table, posting), read after read.
+        let mut seeds: Vec<(u32, Posting)> = Vec::new();
+        for (read, seq) in reads.iter() {
+            let mut hits: Vec<(Kmer, u32, bool)> = windows(seq).collect();
+            // Stable on position-ordered input: each k-mer's run starts
+            // at the read's first occurrence.
+            radix_sort(&mut hits, 2 * counts.k, |&(km, _, _)| km.0);
+            hits.dedup_by_key(|&mut (km, _, _)| km);
+            seeds.extend(hits.iter().filter_map(|&(km, pos, fwd)| {
+                Some((counts.rank(km)? as u32, Posting { read, pos, fwd }))
+            }));
+        }
+        // Stable again, so every list keeps its postings in read order.
+        let rank_bits = usize::BITS - counts.distinct().leading_zeros();
+        radix_sort(&mut seeds, rank_bits as usize, |&(rank, _)| rank as u64);
 
-        let mut shards: Vec<HashMap<Kmer, Vec<Posting>>> =
-            shards.into_iter().map(|m| m.into_inner()).collect();
-        for shard in &mut shards {
-            for list in shard.values_mut() {
-                list.sort_unstable_by_key(|p| (p.read, p.pos));
-            }
+        let mut index = SeedIndex {
+            keys: Vec::new(),
+            offsets: vec![0],
+            postings: Vec::with_capacity(seeds.len()),
+            k: counts.k,
+        };
+        for run in seeds.chunk_by(|x, y| x.0 == y.0) {
+            index.keys.push(counts.kmer_at(run[0].0 as usize));
+            index.postings.extend(run.iter().map(|&(_, p)| p));
+            index.offsets.push(index.postings.len() as u32);
         }
-        SeedIndex {
-            shards,
-            shard_bits,
-            k,
-        }
+        index
+    }
+
+    fn list(&self, i: usize) -> &[Posting] {
+        &self.postings[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Posting list of `km`, if retained.
     pub fn get(&self, km: Kmer) -> Option<&[Posting]> {
-        let s = (km.hash64() >> (64 - self.shard_bits)) as usize;
-        self.shards[s].get(&km).map(|v| v.as_slice())
+        let i = self.keys.binary_search(&km).ok()?;
+        Some(self.list(i))
     }
 
     /// Number of distinct retained k-mers with at least one posting.
     pub fn distinct(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.keys.len()
     }
 
-    /// Iterates all `(kmer, posting list)` pairs.
+    /// Iterates all `(kmer, posting list)` pairs in ascending k-mer order.
     pub fn iter(&self) -> impl Iterator<Item = (Kmer, &[Posting])> + '_ {
-        self.shards
+        self.keys
             .iter()
-            .flat_map(|s| s.iter().map(|(&km, v)| (km, v.as_slice())))
+            .enumerate()
+            .map(|(i, &km)| (km, self.list(i)))
     }
 
     /// Total number of postings.
     pub fn total_postings(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(|v| v.len())
-            .sum()
+        self.postings.len()
     }
 }
 

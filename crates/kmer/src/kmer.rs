@@ -68,8 +68,8 @@ impl Kmer {
         self.min(self.revcomp(k))
     }
 
-    /// A well-mixed 64-bit hash (splitmix64 finaliser), used to shard
-    /// k-mers across counting shards and owner ranks deterministically.
+    /// A well-mixed 64-bit hash (splitmix64 finaliser): the minimizer
+    /// order, and a deterministic way to spread k-mers across owners.
     #[inline]
     pub fn hash64(self) -> u64 {
         let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -79,17 +79,29 @@ impl Kmer {
     }
 }
 
+/// [`base_to_2bit`] as a table; 4 marks an ambiguous base.
+const CODES: [u8; 256] = {
+    let mut codes = [4u8; 256];
+    codes[b'A' as usize] = 0;
+    codes[b'C' as usize] = 1;
+    codes[b'G' as usize] = 2;
+    codes[b'T' as usize] = 3;
+    codes
+};
+
 /// Iterator over `(position, canonical k-mer)` pairs of a sequence.
 ///
-/// Maintains a rolling 2-bit window; any `N` (or other ambiguous byte)
-/// resets the window so no k-mer spans it, exactly as DiBELLA/BELLA treat
-/// low-confidence calls.
+/// Maintains a rolling 2-bit window and its rolling reverse complement;
+/// any `N` (or other ambiguous byte) resets the window so no k-mer spans
+/// it, exactly as DiBELLA/BELLA treat low-confidence calls.
 pub struct KmerIter<'a> {
     seq: &'a [u8],
     k: usize,
     mask: u64,
     pos: usize,
     window: u64,
+    /// Reverse complement of `window`, at width `k`.
+    rc: u64,
     /// Number of unambiguous bases currently in the window.
     filled: usize,
 }
@@ -109,6 +121,7 @@ impl<'a> KmerIter<'a> {
             mask,
             pos: 0,
             window: 0,
+            rc: 0,
             filled: 0,
         }
     }
@@ -119,22 +132,19 @@ impl<'a> Iterator for KmerIter<'a> {
     type Item = (usize, Kmer);
 
     fn next(&mut self) -> Option<(usize, Kmer)> {
-        while self.pos < self.seq.len() {
-            let b = self.seq[self.pos];
+        while let Some(&b) = self.seq.get(self.pos) {
             self.pos += 1;
-            match base_to_2bit(b) {
-                Some(code) => {
-                    self.window = ((self.window << 2) | code as u64) & self.mask;
-                    self.filled += 1;
-                    if self.filled >= self.k {
-                        let start = self.pos - self.k;
-                        return Some((start, Kmer(self.window).canonical(self.k)));
-                    }
-                }
-                None => {
-                    self.filled = 0;
-                    self.window = 0;
-                }
+            // A table, not a branch per base: bases are unpredictable.
+            let code = CODES[b as usize] as u64;
+            if code > 3 {
+                self.filled = 0;
+                continue;
+            }
+            self.window = ((self.window << 2) | code) & self.mask;
+            self.rc = (self.rc >> 2) | ((3 - code) << (2 * self.k - 2));
+            self.filled += 1;
+            if self.filled >= self.k {
+                return Some((self.pos - self.k, Kmer(self.window.min(self.rc))));
             }
         }
         None

@@ -9,11 +9,11 @@
 //!   canonical form;
 //! * [`kmers_of`] / [`KmerIter`] — sliding-window extraction that resets on
 //!   `N` (ambiguous base calls never produce k-mers);
-//! * [`count::count_kmers`] — sharded, rayon-parallel counting;
+//! * [`count::count_kmers`] — partition-and-sort counting into sorted runs;
 //! * [`bella::BellaModel`] — the coverage/error-rate-driven reliable
 //!   frequency interval `[lo, hi]`;
 //! * [`index::SeedIndex`] — posting lists (read, position) for retained
-//!   k-mers, the input to overlap candidate generation.
+//!   k-mers in one sorted CSR store, the input to candidate generation.
 //!
 //! ```
 //! use gnb_kmer::{Kmer, kmers_of};

@@ -261,6 +261,28 @@ pub fn true_overlaps(reads: &gnb_genome::ReadSet, tasks: &[Candidate]) -> Vec<u3
         .collect()
 }
 
+/// Recall of `tasks` against the read origins, as `(found, truth)`:
+/// `truth` counts the read pairs whose fragments share at least
+/// `min_overlap` reference bases, `found` those among the tasks. Quadratic
+/// in the read count: a validation tool, never a pipeline stage.
+pub fn recall(
+    reads: &gnb_genome::ReadSet,
+    tasks: &[Candidate],
+    min_overlap: usize,
+) -> (usize, usize) {
+    let tasks: std::collections::BTreeSet<(u32, u32)> = tasks.iter().map(|t| (t.a, t.b)).collect();
+    let (mut found, mut truth) = (0, 0);
+    for i in 0..reads.len() {
+        for j in (i + 1)..reads.len() {
+            if reads.origin(i).overlap_len(&reads.origin(j)) >= min_overlap {
+                truth += 1;
+                found += tasks.contains(&(i as u32, j as u32)) as usize;
+            }
+        }
+    }
+    (found, truth)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
