@@ -96,9 +96,9 @@ struct Golden {
     minimizer_distinct: usize,
     /// All-k-mer candidates among the pairs overlapping ≥ 1000 bp.
     recall_1000: (usize, usize),
-    /// Accepted alignments with a true overlap, of all accepted. `None`
-    /// where aligning costs a debug build tens of seconds.
-    precision: Option<(usize, usize)>,
+    /// Accepted alignments with a true overlap, of all accepted (recorded
+    /// from a release run of the scalar and packed kernels).
+    precision: (usize, usize),
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn kmer_stage_matches_golden() {
             fnv: [0x1f05_0709_b323_0563, 0x9a82_a380_3b90_f9ec],
             minimizer_distinct: 5_998,
             recall_1000: (1_738, 1_751),
-            precision: None,
+            precision: (1_762, 1_762),
         },
         Golden {
             preset: presets::human_ccs().scaled(32768),
@@ -132,7 +132,7 @@ fn kmer_stage_matches_golden() {
             fnv: [0x7bba_ddc9_bd30_f727, 0x1a3e_bc4d_2242_4d53],
             minimizer_distinct: 17_701,
             recall_1000: (124, 124),
-            precision: Some((129, 173)),
+            precision: (129, 173),
         },
     ];
     for g in cases {
@@ -167,12 +167,10 @@ fn kmer_stage_matches_golden() {
         }
 
         assert_eq!(recall(&reads, &tasks[0], 1000), g.recall_1000, "{name}");
-        if let Some(precision) = g.precision {
-            let res = run_pipeline(&reads, &PipelineParams::new(g.preset.coverage, error_rate));
-            assert_eq!(res.tasks, tasks[0], "{name}");
-            assert_eq!(res.recall(&reads, 1000), g.recall_1000, "{name}");
-            assert_eq!(res.precision(), precision, "{name}");
-        }
+        let res = run_pipeline(&reads, &PipelineParams::new(g.preset.coverage, error_rate));
+        assert_eq!(res.tasks, tasks[0], "{name}");
+        assert_eq!(res.recall(&reads, 1000), g.recall_1000, "{name}");
+        assert_eq!(res.precision(), g.precision, "{name}");
     }
 }
 
