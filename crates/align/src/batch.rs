@@ -1,9 +1,11 @@
-//! Rayon-parallel batch alignment.
+//! Batch alignment: one call aligns a whole candidate set.
 //!
-//! This is the shared-memory execution path: a downstream user with a
-//! multicore machine aligns an entire candidate set with work-stealing
-//! parallelism, one [`SeedExtendScratch`] per worker. It also provides the
-//! measured per-task costs used to calibrate the simulator's cost model.
+//! The default kernel, [`KernelImpl::Batched`], is a whole-batch engine
+//! that schedules the candidates itself (length buckets, lane refill; see
+//! [`crate::interseq`]). The per-candidate kernels (`Scalar`, `Packed`)
+//! run as a rayon loop, one [`SeedExtendScratch`] per worker. Either way
+//! records come back in input order, with the measured per-task costs used
+//! to calibrate the simulator's cost model.
 
 use crate::scoring::ScoringScheme;
 use crate::seed_extend::{
@@ -48,8 +50,9 @@ pub struct AlignParams {
     pub x: i32,
     /// Acceptance criteria.
     pub criteria: AcceptCriteria,
-    /// Kernel implementation [`align_batch`] runs (the serial reference
-    /// driver always uses the scalar kernel — see [`align_batch_serial`]).
+    /// Kernel implementation [`align_batch`] runs; defaults to
+    /// [`KernelImpl::Batched`] (the serial reference driver always uses the
+    /// scalar kernel — see [`align_batch_serial`]).
     pub kernel: KernelImpl,
 }
 
@@ -99,15 +102,18 @@ fn align_one(
     }
 }
 
-/// Aligns every candidate in parallel; records are returned in input order,
-/// so results are deterministic and independent of the schedule.
+/// Aligns every candidate; records are returned in input order, so results
+/// are deterministic and independent of the schedule.
 ///
-/// Internally tasks run **longest-first**: candidates are ordered by
-/// descending `len(a) + len(b)` (a cheap upper-bound cost proxy — a task's
-/// true cost is unknowable before it runs, §4.2 of the paper) so a huge
-/// true-overlap task picked up last cannot leave one worker aligning alone
-/// after the rest of the pool drains. Results are scattered back to input
-/// order before returning, making the schedule unobservable.
+/// [`KernelImpl::Batched`] (the default) bypasses the rayon path: the
+/// inter-sequence engine takes the whole batch and schedules it over
+/// length buckets with lane refill. The per-candidate kernels run in
+/// parallel, **longest-first**: candidates are ordered by descending
+/// `len(a) + len(b)` (a cheap upper-bound cost proxy — a task's true cost
+/// is unknowable before it runs, §4.2 of the paper) so a huge true-overlap
+/// task picked up last cannot leave one worker aligning alone after the
+/// rest of the pool drains. Both paths scatter results back to input order
+/// before returning, making the schedule unobservable.
 pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -> BatchOutcome {
     if params.kernel == KernelImpl::Batched {
         // The inter-sequence engine schedules the whole batch itself
@@ -150,9 +156,9 @@ pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -
 /// Serial reference driver (validation and single-thread baselines).
 ///
 /// Always runs the scalar reference kernel in input order, regardless of
-/// `params.kernel` — it *is* the reference the parallel path is validated
-/// against, so comparing [`align_batch`] (packed, longest-first) to this
-/// function cross-checks both the kernel and the schedule.
+/// `params.kernel` — it *is* the reference [`align_batch`] is validated
+/// against, so comparing the two (batched by default, bucketed
+/// longest-first) cross-checks both the kernel and the schedule.
 pub fn align_batch_serial(
     reads: &ReadSet,
     tasks: &[Candidate],
@@ -242,8 +248,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // The default parallel path (packed kernel, longest-first schedule)
-        // must agree record-for-record with the scalar in-order reference.
+        // The default path (batched engine, bucketed longest-first
+        // schedule) must agree record-for-record with the scalar in-order
+        // reference.
         let (reads, cands) = make_reads();
         let p = params();
         let par = align_batch(&reads, &cands, &p);

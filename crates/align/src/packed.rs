@@ -393,6 +393,44 @@ impl<'a> PackedView<'a> {
             (rev_lanes(c), rev_lanes(n))
         }
     }
+
+    /// The 32 bases `start..start + 32` in whichever lane order needs no
+    /// lane reversal: ascending for forward views (lane `t` holds base
+    /// `start + t`, flag `false`), descending for reversed views (lane `t`
+    /// holds base `start + 31 - t`, flag `true`). Out-of-view lanes read
+    /// as N.
+    #[inline]
+    pub(crate) fn window32_unordered(&self, start: isize) -> (u64, u64, bool) {
+        if start < 0 || start + 32 > self.len as isize {
+            return if self.rev {
+                let (c, n) = self.window32_desc(start + 31);
+                (c, n, true)
+            } else {
+                let (c, n) = self.window32(start);
+                (c, n, false)
+            };
+        }
+        // Inside the view: join two packed words at the physical start.
+        let p = if self.rev {
+            self.offset - 32 - start as usize
+        } else {
+            self.offset + start as usize
+        };
+        let (w, sh) = (p / 32, 2 * (p % 32));
+        let join = |v: &[u64]| {
+            if sh == 0 {
+                v[w]
+            } else {
+                v[w] >> sh | v[w + 1] << (64 - sh)
+            }
+        };
+        let c = join(self.slice.words);
+        (
+            if self.comp { !c } else { c },
+            join(self.slice.nmask),
+            self.rev,
+        )
+    }
 }
 
 /// Reusable scratch for packed X-drop extensions. Drop-in peer of

@@ -1,10 +1,12 @@
 //! X-drop alignment extension (Zhang, Schwartz, Wagner & Miller, 2000).
 //!
-//! The production kernel of the study. Starting from an anchor at `(0, 0)`
-//! — in practice, the end of a seed — the extension explores the DP matrix
-//! antidiagonal by antidiagonal, keeping only the *live band*: cells whose
-//! score is within `X` of the best score seen so far. On a true overlap the
-//! band stays narrow and tracks the main diagonal, giving average-case
+//! The study's alignment kernel, in its scalar reference form (the batched
+//! and packed kernels must agree with it bit-for-bit). Starting from an
+//! anchor at `(0, 0)` — in practice, the end of a seed — the extension
+//! explores the DP matrix antidiagonal by antidiagonal, keeping only the
+//! *live band*: cells whose score is within `X` of the best score seen so
+//! far. On a true overlap the band stays narrow and tracks the main
+//! diagonal, giving average-case
 //! O(n·band) work; on a false-positive seed the whole band dies within a
 //! few antidiagonals and the extension terminates early. That asymmetry is
 //! exactly the variable task cost the paper's load-imbalance analysis

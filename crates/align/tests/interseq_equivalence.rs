@@ -321,3 +321,46 @@ fn lane_refill_mid_bucket_stays_bit_identical() {
         );
     }
 }
+
+/// The `i16` admission bound is per sequence, not per pair: a pair longer
+/// than 32 000 bases in total but with both sequences at most 30 000 stays
+/// on the lanes and matches the scalar kernel on every path, while a
+/// sequence past 30 000 bases takes the `i32` retry path.
+#[test]
+fn long_pairs_stay_on_i16_lanes() {
+    let sc = ScoringScheme::DEFAULT;
+    let x = 25;
+    let bases = b"ACGT";
+    let mk = |n: usize| -> Vec<u8> { (0..n).map(|i| bases[(i * 7 + i / 5 + 3) % 4]).collect() };
+    let a = mk(16_100);
+    let mut b = a[..16_000].to_vec();
+    for i in (0..b.len()).step_by(23) {
+        b[i] = bases[(b[i] as usize + 1) % 4];
+    }
+    let seqs = [(a, b), (mk(30_001), mk(10))];
+    assert!(eligible_i16(16_100, 16_000, &sc, x));
+    assert!(!eligible_i16(30_001, 10, &sc, x));
+    let packed: Vec<(PackedSeq, PackedSeq)> = seqs
+        .iter()
+        .map(|(a, b)| (PackedSeq::from_bytes(a), PackedSeq::from_bytes(b)))
+        .collect();
+    let pairs: Vec<(PackedView<'_>, PackedView<'_>)> = packed
+        .iter()
+        .map(|(pa, pb)| {
+            (
+                PackedView::full(pa.as_slice()),
+                PackedView::full(pb.as_slice()),
+            )
+        })
+        .collect();
+    let reference: Vec<_> = seqs
+        .iter()
+        .map(|(a, b)| xdrop_extend(a, b, &sc, x))
+        .collect();
+    assert!(reference[0].a_ext > 16_000 - 100, "{:?}", reference[0]);
+    for path in available_paths() {
+        let mut eng = BatchedXDropAligner::with_path(path);
+        assert_eq!(eng.extend_batch(&pairs, &sc, x), reference, "path {path:?}");
+        assert_eq!(eng.stats().fallback_tasks, 1, "path {path:?}");
+    }
+}

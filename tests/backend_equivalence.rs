@@ -119,7 +119,7 @@ fn three_strategies_and_rayon_backend_agree() {
     assert!(checksums.windows(2).all(|p| p[0] == p[1]), "{checksums:x?}");
 }
 
-/// The packed production kernel slots into the same chain: both kernels
+/// The packed kernel slots into the same chain: both kernels
 /// produce record-identical batch outcomes (same tasks, same cells, same
 /// accepted set), and the workload derived from the packed-kernel run
 /// drives all three coordination strategies to one checksum. Kernel
