@@ -185,6 +185,38 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_start_at_the_prelude_minimum() {
+        // Paper §4.4: DiBELLA's k-mer analysis stages "cannot complete with
+        // fewer than (4, 8] Cori KNL nodes" on Human CCS. The working set
+        // is fitted to that: 45 bytes per input base, with 90 % of a node's
+        // application memory usable.
+        const WORKING_SET_BYTES_PER_BASE: f64 = 45.0;
+        const USABLE_MEMORY_FRACTION: f64 = 0.9;
+        let knl = MachineConfig::cori_knl(1);
+        let node_bytes =
+            (knl.mem_per_core * knl.cores_per_node as u64) as f64 * USABLE_MEMORY_FRACTION;
+        let min_nodes = |reads: u64, mean_len: u64| {
+            let need = (reads * mean_len) as f64 * WORKING_SET_BYTES_PER_BASE;
+            (need / node_bytes).ceil().max(1.0) as usize
+        };
+
+        let human = min_nodes(1_148_839, 11_060);
+        assert!(
+            human > 4 && human <= 8,
+            "paper: (4, 8] nodes; model {human}"
+        );
+        assert!(
+            HUMAN_NODES[0] >= human && HUMAN_NODES[0] <= 8,
+            "Human CCS sweeps start at {} nodes, minimum {human}",
+            HUMAN_NODES[0]
+        );
+        // Both E. coli workloads run from a single node.
+        assert_eq!(min_nodes(16_890, 8_244), 1);
+        assert_eq!(min_nodes(91_394, 5_079), 1);
+        assert_eq!(ECOLI100_NODES[0], 1);
+    }
+
+    #[test]
     fn default_scales_known() {
         assert_eq!(default_scale("ecoli_30x"), 1);
         assert_eq!(default_scale("human_ccs"), 16);
