@@ -47,10 +47,8 @@ pub mod breakdown;
 pub mod bsp;
 pub mod cost;
 pub mod driver;
-pub mod kmer_stage;
 pub mod machine;
 pub mod pipeline;
-pub mod prelude_stage;
 pub mod pull;
 pub mod runtime;
 pub mod workload;

@@ -6,7 +6,6 @@
 //! characteristic other than size in memory is considered"). The partition
 //! determines read ownership for the rest of the pipeline.
 
-use gnb_sim::ckpt::{Checkpointable, CkptReader, CkptWriter};
 use serde::{Deserialize, Serialize};
 
 /// A partition of reads across `nranks` ranks.
@@ -95,52 +94,6 @@ impl Partition {
         self.ranges.len()
     }
 
-    /// Reads owned by rank `p` (contiguous id range).
-    pub fn reads_of(&self, p: usize) -> std::ops::Range<u32> {
-        self.ranges[p].0..self.ranges[p].1
-    }
-
-    /// Deterministic takeover remap: after `dead` crashes, its contiguous
-    /// read range is re-split over the surviving ranks with the same blind
-    /// (byte-balanced) rule used for the original partition, so every
-    /// survivor computes the identical reassignment with no coordination.
-    /// Reads outside the dead range keep their owner.
-    ///
-    /// # Panics
-    /// Panics if `dead` is out of range, owns no slot, or no survivor
-    /// remains.
-    pub fn takeover_remap(
-        &self,
-        read_lengths: &[usize],
-        dead: usize,
-        survivors: &[usize],
-    ) -> Partition {
-        assert!(dead < self.nranks(), "dead rank out of range");
-        assert!(
-            !survivors.is_empty(),
-            "takeover needs at least one survivor"
-        );
-        assert!(
-            !survivors.contains(&dead),
-            "dead rank cannot be its own survivor"
-        );
-        let (begin, end) = self.ranges[dead];
-        let sub = Partition::blind(&read_lengths[begin as usize..end as usize], survivors.len());
-        let mut out = self.clone();
-        for r in begin..end {
-            let s = sub.owner[(r - begin) as usize] as usize;
-            out.owner[r as usize] = survivors[s] as u32;
-        }
-        out.bytes[dead] = 0;
-        for (s, &sv) in survivors.iter().enumerate() {
-            out.bytes[sv] += sub.bytes[s];
-        }
-        // The dead rank's contiguous range is now interleaved among the
-        // survivors; ranges[] keeps the *original* pre-crash geometry (it
-        // documents stage-1 placement), while owner[] is authoritative.
-        out
-    }
-
     /// Byte imbalance: max bytes / mean bytes (1.0 = perfect).
     pub fn byte_imbalance(&self) -> f64 {
         let max = self.bytes.iter().copied().max().unwrap_or(0) as f64;
@@ -149,21 +102,6 @@ impl Partition {
             1.0
         } else {
             max / mean
-        }
-    }
-}
-
-impl Checkpointable for Partition {
-    fn checkpoint(&self, w: &mut CkptWriter) {
-        self.owner.checkpoint(w);
-        self.ranges.checkpoint(w);
-        self.bytes.checkpoint(w);
-    }
-    fn restore(r: &mut CkptReader<'_>) -> Self {
-        Partition {
-            owner: Vec::restore(r),
-            ranges: Vec::restore(r),
-            bytes: Vec::restore(r),
         }
     }
 }
@@ -258,36 +196,5 @@ mod tests {
         for (b, e) in &p.ranges {
             assert_eq!(e - b, 1);
         }
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        let lens: Vec<usize> = (0..103).map(|i| 50 + (i * 37) % 400).collect();
-        let p = Partition::blind(&lens, 7);
-        let bytes = p.to_ckpt_bytes();
-        assert_eq!(bytes, p.to_ckpt_bytes(), "serialisation is deterministic");
-        assert_eq!(Partition::from_ckpt_bytes(&bytes), p);
-    }
-
-    #[test]
-    fn takeover_remap_reassigns_exactly_the_dead_range() {
-        let lens: Vec<usize> = (0..200).map(|i| 100 + (i * 13) % 300).collect();
-        let p = Partition::blind(&lens, 8);
-        let survivors: Vec<usize> = (0..8).filter(|&r| r != 3).collect();
-        let q = p.takeover_remap(&lens, 3, &survivors);
-        let (b, e) = p.ranges[3];
-        for r in 0..lens.len() {
-            let inside = (b as usize) <= r && r < e as usize;
-            if inside {
-                assert_ne!(q.owner[r], 3, "read {r} moved off the dead rank");
-                assert!(survivors.contains(&(q.owner[r] as usize)));
-            } else {
-                assert_eq!(q.owner[r], p.owner[r], "read {r} untouched");
-            }
-        }
-        assert_eq!(q.bytes[3], 0);
-        assert_eq!(q.bytes.iter().sum::<u64>(), p.bytes.iter().sum::<u64>());
-        // Deterministic: every survivor computes the same remap.
-        assert_eq!(q, p.takeover_remap(&lens, 3, &survivors));
     }
 }

@@ -11,74 +11,12 @@
 //! structure-of-arrays with contiguous group extents;
 //! [`PointerTaskStore`] is a `BTreeMap` of individually boxed task nodes,
 //! deliberately reproducing the pointer-chasing access pattern of the
-//! paper's async code. `bench_store` and `expt_f13` measure the traversal
-//! gap.
+//! paper's async code. `expt_f13` measures the traversal gap.
 
 use gnb_align::Candidate;
-use gnb_sim::ckpt::{Checkpointable, CkptReader, CkptWriter};
 
 /// Group key for tasks whose reads are both local.
 pub const LOCAL_GROUP: u32 = u32::MAX;
-
-/// Serialises one candidate into the checkpoint codec (a free function:
-/// `Candidate` lives in `gnb-align`, which does not depend on `gnb-sim`).
-fn ckpt_candidate(c: &Candidate, w: &mut CkptWriter) {
-    w.u32(c.a);
-    w.u32(c.b);
-    w.u32(c.a_pos);
-    w.u32(c.b_pos);
-    w.bool(c.same_strand);
-}
-
-fn restore_candidate(r: &mut CkptReader<'_>) -> Candidate {
-    Candidate {
-        a: r.u32(),
-        b: r.u32(),
-        a_pos: r.u32(),
-        b_pos: r.u32(),
-        same_strand: r.bool(),
-    }
-}
-
-/// Shared checkpoint layout for any [`TaskStore`]: the grouped content,
-/// group keys ascending. Both store flavours restore via
-/// [`TaskStore::from_groups`], so a checkpoint written by one layout can
-/// be restored into the other (a survivor may use a different store than
-/// the rank that died).
-fn ckpt_store<S: TaskStore>(s: &S, w: &mut CkptWriter) {
-    w.usize(s.group_count());
-    let mut cur: Option<u32> = None;
-    let mut pending: Vec<Candidate> = Vec::new();
-    let flush = |key: Option<u32>, tasks: &mut Vec<Candidate>, w: &mut CkptWriter| {
-        if let Some(k) = key {
-            w.u32(k);
-            w.usize(tasks.len());
-            for t in tasks.drain(..) {
-                ckpt_candidate(&t, w);
-            }
-        }
-    };
-    s.traverse(&mut |k, c| {
-        if cur != Some(k) {
-            flush(cur, &mut pending, w);
-            cur = Some(k);
-        }
-        pending.push(*c);
-    });
-    flush(cur, &mut pending, w);
-}
-
-fn restore_store<S: TaskStore>(r: &mut CkptReader<'_>) -> S {
-    let ngroups = r.usize();
-    let groups = (0..ngroups)
-        .map(|_| {
-            let key = r.u32();
-            let n = r.usize();
-            (key, (0..n).map(|_| restore_candidate(r)).collect())
-        })
-        .collect();
-    S::from_groups(groups)
-}
 
 /// A store of grouped alignment tasks with a uniform traversal interface.
 pub trait TaskStore {
@@ -239,24 +177,6 @@ impl TaskStore for PointerTaskStore {
     }
 }
 
-impl Checkpointable for FlatTaskStore {
-    fn checkpoint(&self, w: &mut CkptWriter) {
-        ckpt_store(self, w);
-    }
-    fn restore(r: &mut CkptReader<'_>) -> Self {
-        restore_store(r)
-    }
-}
-
-impl Checkpointable for PointerTaskStore {
-    fn checkpoint(&self, w: &mut CkptWriter) {
-        ckpt_store(self, w);
-    }
-    fn restore(r: &mut CkptReader<'_>) -> Self {
-        restore_store(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,30 +254,5 @@ mod tests {
         let ptr = PointerTaskStore::from_groups(groups);
         assert_eq!(ptr.group(5).unwrap().len(), 2);
         assert_eq!(ptr.group_count(), 1);
-    }
-
-    #[test]
-    fn checkpoints_round_trip_and_cross_restore() {
-        let flat = FlatTaskStore::from_groups(sample_groups());
-        let ptr = PointerTaskStore::from_groups(sample_groups());
-        // Both layouts serialise the same logical content to the same
-        // bytes, so either can restore the other's checkpoint.
-        let fb = flat.to_ckpt_bytes();
-        let pb = ptr.to_ckpt_bytes();
-        assert_eq!(fb, pb, "layout-independent checkpoint bytes");
-        assert_eq!(
-            collect(&FlatTaskStore::from_ckpt_bytes(&pb)),
-            collect(&flat)
-        );
-        assert_eq!(
-            collect(&PointerTaskStore::from_ckpt_bytes(&fb)),
-            collect(&ptr)
-        );
-        // Empty stores round-trip too.
-        let empty = FlatTaskStore::from_groups(vec![]);
-        assert_eq!(
-            FlatTaskStore::from_ckpt_bytes(&empty.to_ckpt_bytes()).task_count(),
-            0
-        );
     }
 }

@@ -1,14 +1,13 @@
-//! Property-based tests for candidate generation, partitioning,
-//! redistribution, exchange planning, and the task stores.
+//! Property-based tests for candidate generation, partitioning, and the
+//! task stores. Redistribution and exchange loads are tested on
+//! `SimWorkload::prepare` in `gnb-core`.
 
 use gnb_align::Candidate;
 use gnb_genome::reads::{ReadOrigin, ReadSet, Strand};
 use gnb_genome::revcomp;
 use gnb_kmer::{count_kmers, SeedIndex};
 use gnb_overlap::candidates::generate_candidates;
-use gnb_overlap::exchange::ExchangePlan;
 use gnb_overlap::partition::Partition;
-use gnb_overlap::redistribute::{RankWork, TaskAssignment};
 use gnb_overlap::store::{FlatTaskStore, PointerTaskStore, TaskStore};
 use proptest::prelude::*;
 use rayon::prelude::*;
@@ -139,83 +138,6 @@ proptest! {
             let (b, e) = p.ranges[o as usize];
             prop_assert!((b as usize) <= r && r < e as usize);
         }
-    }
-
-    /// Redistribution preserves the ownership invariant, conserves tasks,
-    /// and balances counts within 1 of optimal when both endpoints are
-    /// always available.
-    #[test]
-    fn assignment_invariant(lens in lengths(100), nranks in 1usize..12, seed in any::<u64>()) {
-        let n = lens.len();
-        // Derived pseudo-random tasks (cheaper than a nested strategy).
-        let mut tasks = Vec::new();
-        let mut z = seed;
-        for _ in 0..(n * 4).min(600) {
-            z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = (z >> 33) as usize % n;
-            z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let b = (z >> 33) as usize % n;
-            if a == b { continue; }
-            tasks.push(Candidate {
-                a: a.min(b) as u32,
-                b: a.max(b) as u32,
-                a_pos: 0,
-                b_pos: 0,
-                same_strand: true,
-            });
-        }
-        let p = Partition::blind(&lens, nranks);
-        let asg = TaskAssignment::build(&tasks, &p);
-        prop_assert!(asg.check_invariant(&p).is_ok());
-        prop_assert_eq!(asg.total_tasks(), tasks.len());
-    }
-
-    /// RankWork splits conserve tasks and never group local reads.
-    #[test]
-    fn rankwork_conserves(lens in lengths(60), nranks in 1usize..8) {
-        let n = lens.len() as u32;
-        let tasks: Vec<Candidate> = (0..n)
-            .flat_map(|a| ((a + 1)..n.min(a + 5)).map(move |b| Candidate {
-                a, b, a_pos: 0, b_pos: 0, same_strand: true,
-            }))
-            .collect();
-        let p = Partition::blind(&lens, nranks);
-        let asg = TaskAssignment::build(&tasks, &p);
-        let mut total = 0usize;
-        for r in 0..nranks {
-            let w = RankWork::split(r, &asg.per_rank[r], &p);
-            total += w.total_tasks();
-            for (read, group_tasks) in &w.remote_groups {
-                prop_assert!(p.owner[*read as usize] as usize != r);
-                prop_assert!(!group_tasks.is_empty());
-            }
-        }
-        prop_assert_eq!(total, tasks.len());
-    }
-
-    /// Exchange plan: global send == global recv, rows consistent.
-    #[test]
-    fn exchange_symmetry(lens in lengths(60), nranks in 1usize..8) {
-        let n = lens.len() as u32;
-        let tasks: Vec<Candidate> = (0..n)
-            .flat_map(|a| ((a + 1)..n.min(a + 4)).map(move |b| Candidate {
-                a, b, a_pos: 0, b_pos: 0, same_strand: true,
-            }))
-            .collect();
-        let p = Partition::blind(&lens, nranks);
-        let asg = TaskAssignment::build(&tasks, &p);
-        let works: Vec<RankWork> = (0..nranks)
-            .map(|r| RankWork::split(r, &asg.per_rank[r], &p))
-            .collect();
-        let plan = ExchangePlan::build(&works, &p, &lens);
-        prop_assert_eq!(
-            plan.send_bytes.iter().sum::<u64>(),
-            plan.recv_bytes.iter().sum::<u64>()
-        );
-        for q in 0..nranks {
-            prop_assert_eq!(plan.pair_bytes[q].iter().sum::<u64>(), plan.recv_bytes[q]);
-        }
-        prop_assert!(plan.max_recv() >= plan.min_recv());
     }
 
     /// Flat and pointer stores traverse identical content.

@@ -1,11 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions: cost-aware
-//! balancing, failure injection, minimizer seeding, the stage-2 simulation,
-//! and the prelude memory model.
+//! balancing, failure injection, minimizer seeding, and traced runs.
 
 use gnb::core::driver::{run_sim, Algorithm, RunConfig};
-use gnb::core::kmer_stage::run_kmer_stage;
 use gnb::core::pipeline::{run_pipeline, PipelineParams, SeedMode};
-use gnb::core::prelude_stage::PreludeModel;
 use gnb::core::workload::{BalanceStrategy, SimWorkload};
 use gnb::core::{CostModel, MachineConfig};
 use gnb::genome::presets;
@@ -87,38 +84,6 @@ fn minimizer_pipeline_end_to_end() {
         assert!(rec.a != rec.b);
         assert!((rec.a_end as usize) <= reads.read_len(rec.a as usize));
     }
-}
-
-#[test]
-fn kmer_stage_then_alignment_stage() {
-    // End-to-end simulated pipeline: stage 2 (k-mer analysis) then stage 3
-    // (alignment) on the same machine and workload.
-    let machine = MachineConfig::cori_knl(2).with_cores_per_node(8);
-    let w = human_like(machine.nranks(), 7);
-    let cfg = RunConfig::default();
-    let stage2 = run_kmer_stage(&w, &machine, &cfg);
-    let stage3 = run_sim(&w, &machine, Algorithm::Async, &cfg);
-    assert!(stage2.total > 0.0);
-    assert!(stage3.runtime() > 0.0);
-    // The alignment stage dominates end-to-end time on real workloads.
-    assert!(
-        stage3.runtime() > stage2.total,
-        "alignment {} should dominate k-mer analysis {}",
-        stage3.runtime(),
-        stage2.total
-    );
-}
-
-#[test]
-fn prelude_model_consistent_with_machine() {
-    let m = PreludeModel::default();
-    let machine = MachineConfig::cori_knl(1);
-    // Full-scale Human CCS input needs (4, 8] nodes; scaled inputs need
-    // proportionally fewer.
-    let full: u64 = 1_148_839 * 11_060;
-    let full_nodes = m.min_nodes(full, &machine);
-    assert!(full_nodes > 4 && full_nodes <= 8);
-    assert!(m.min_nodes(full / 16, &machine) < full_nodes);
 }
 
 #[test]
