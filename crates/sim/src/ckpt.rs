@@ -10,9 +10,10 @@
 //! Serialisation is a hand-rolled little-endian byte codec
 //! ([`CkptWriter`] / [`CkptReader`]) rather than a serde format: the
 //! vendored serde is an API stub, and a fixed byte layout is exactly what
-//! the byte-identity acceptance tests pin. The [`Checkpointable`] trait
-//! is implemented by the coordination strategies and the overlap stores;
-//! primitive and container impls live here so those impls stay short.
+//! the byte-identity acceptance tests pin. The strategies in `gnb-core`
+//! checkpoint their progress as plain counters, bitmaps and tuples, so
+//! the only [`Checkpointable`] impls are the primitive and container ones
+//! here.
 //!
 //! Checkpoint *cost* is part of the performance model: [`CkptParams`]
 //! prices a write as `base + per_kib × ⌈size/1 KiB⌉`, which the driver

@@ -15,9 +15,9 @@
 //! | [`genome`] | synthetic genomes, long-read sampling, error models, FASTA, presets |
 //! | [`kmer`] | k-mer extraction/counting, BELLA reliable-k-mer filter, seed index |
 //! | [`align`] | X-drop seed-and-extend kernel, Smith-Waterman/Needleman-Wunsch baselines |
-//! | [`overlap`] | candidate generation, blind partition, task redistribution, task stores |
+//! | [`overlap`] | candidate generation, blind partition, task-graph synthesis, task stores |
 //! | [`sim`] | discrete-event SPMD machine: network, collectives, barriers, memory |
-//! | [`core`] | the paper's BSP and async coordination codes + experiment drivers |
+//! | [`core`] | task redistribution, the paper's BSP and async coordination codes + experiment drivers |
 //! | [`trace`] | views of an observability recording: summarize, Perfetto export, critical path, ASCII timeline |
 //!
 //! ## Quickstart
