@@ -95,6 +95,7 @@ proptest! {
             (dna_with_n(1, 150), dna_with_n(1, 150)), 1..18),
         cut_raw in 0usize..1000,
         x in 0..60i32,
+        x_retry in 4097..1_000_000i32,
     ) {
         let sc = ScoringScheme::DEFAULT;
         let packed: Vec<(PackedSeq, PackedSeq)> = seqs
@@ -117,10 +118,20 @@ proptest! {
             .iter()
             .map(|(a, b)| xdrop_extend(a, b, &sc, x))
             .collect();
+        // Above the i16 bound on `x` every pair takes the i32 retry route,
+        // which must read the same derived views just as exactly.
+        let retry_reference: Vec<_> = bytes
+            .iter()
+            .map(|(a, b)| xdrop_extend(a, b, &sc, x_retry))
+            .collect();
         for path in available_paths() {
             let mut eng = BatchedXDropAligner::with_path(path);
             let got = eng.extend_batch(&pairs, &sc, x);
             prop_assert_eq!(&got, &reference, "path {:?}", path);
+            let mut eng = BatchedXDropAligner::with_path(path);
+            let got = eng.extend_batch(&pairs, &sc, x_retry);
+            prop_assert_eq!(&got, &retry_reference, "retry, path {:?}", path);
+            prop_assert_eq!(eng.stats().fallback_tasks, pairs.len() as u64);
         }
     }
 
@@ -133,6 +144,7 @@ proptest! {
                 (dna_with_n(0, 100), dna_with_n(0, 100)), 1..12),
             1..4),
         x in 0..50i32,
+        x_retry in 4097..1_000_000i32,
     ) {
         let sc = ScoringScheme::DEFAULT;
         let mut shared = BatchedXDropAligner::new();
@@ -147,11 +159,19 @@ proptest! {
                     (PackedView::full(pa.as_slice()), PackedView::full(pb.as_slice()))
                 })
                 .collect();
-            let got = shared.extend_batch(&pairs, &sc, x);
-            let fresh = BatchedXDropAligner::new().extend_batch(&pairs, &sc, x);
-            prop_assert_eq!(&got, &fresh);
-            for (ext, (a, b)) in got.iter().zip(batch) {
-                prop_assert_eq!(ext, &xdrop_extend(a, b, &sc, x));
+            // Each batch runs once on the i16 lanes and once on the i32
+            // retry route, so the retry's reused buffers see every length.
+            for x in [x, x_retry] {
+                let before = shared.stats().fallback_tasks;
+                let got = shared.extend_batch(&pairs, &sc, x);
+                let fresh = BatchedXDropAligner::new().extend_batch(&pairs, &sc, x);
+                prop_assert_eq!(&got, &fresh);
+                for (ext, (a, b)) in got.iter().zip(batch) {
+                    prop_assert_eq!(ext, &xdrop_extend(a, b, &sc, x));
+                }
+                if x == x_retry {
+                    prop_assert_eq!(shared.stats().fallback_tasks - before, pairs.len() as u64);
+                }
             }
         }
     }
