@@ -1,16 +1,16 @@
 //! Batch alignment: one call aligns a whole candidate set.
 //!
-//! The default kernel, [`KernelImpl::Batched`], is a whole-batch engine
-//! that schedules the candidates itself (length buckets, lane refill; see
-//! [`crate::interseq`]). The per-candidate kernels (`Scalar`, `Packed`)
-//! run as a rayon loop, one [`SeedExtendScratch`] per worker. Either way
-//! records come back in input order, with the measured per-task costs used
-//! to calibrate the simulator's cost model.
+//! The default kernel, [`KernelImpl::Batched`] (and its alias
+//! [`KernelImpl::Packed`]), is a whole-batch engine that schedules the
+//! candidates itself (length buckets, lane refill; see [`crate::interseq`]).
+//! The per-candidate scalar reference runs as a rayon loop, one
+//! [`SeedExtendScratch`] per worker. Either way records come back in input
+//! order, with the measured per-task costs used to calibrate the
+//! simulator's cost model.
 
 use crate::scoring::ScoringScheme;
 use crate::seed_extend::{
-    align_candidate_packed_with, align_candidate_with, AcceptCriteria, AlignmentRecord, Candidate,
-    SeedExtendScratch,
+    align_candidate_with, AcceptCriteria, AlignmentRecord, Candidate, SeedExtendScratch,
 };
 use crate::KernelImpl;
 use gnb_genome::ReadSet;
@@ -68,54 +68,20 @@ impl Default for AlignParams {
     }
 }
 
-/// Aligns one candidate with the kernel `params` selects.
-fn align_one(
-    scratch: &mut SeedExtendScratch,
-    reads: &ReadSet,
-    cand: &Candidate,
-    params: &AlignParams,
-) -> AlignmentRecord {
-    match params.kernel {
-        KernelImpl::Scalar => align_candidate_with(
-            scratch,
-            reads.read(cand.a as usize),
-            reads.read(cand.b as usize),
-            cand,
-            params.k,
-            &params.scoring,
-            params.x,
-            &params.criteria,
-        ),
-        KernelImpl::Packed => align_candidate_packed_with(
-            scratch,
-            reads.packed_read(cand.a as usize),
-            reads.packed_read(cand.b as usize),
-            cand,
-            params.k,
-            &params.scoring,
-            params.x,
-            &params.criteria,
-        ),
-        // The batched kernel is a whole-batch engine, not a per-candidate
-        // one: `align_batch` routes to its own driver before reaching here.
-        KernelImpl::Batched => unreachable!("Batched is handled by align_batch_batched"),
-    }
-}
-
 /// Aligns every candidate; records are returned in input order, so results
 /// are deterministic and independent of the schedule.
 ///
-/// [`KernelImpl::Batched`] (the default) bypasses the rayon path: the
-/// inter-sequence engine takes the whole batch and schedules it over
-/// length buckets with lane refill. The per-candidate kernels run in
-/// parallel, **longest-first**: candidates are ordered by descending
+/// [`KernelImpl::Batched`] (the default) and [`KernelImpl::Packed`] bypass
+/// the rayon path: the inter-sequence engine takes the whole batch and
+/// schedules it over length buckets with lane refill. The scalar kernel
+/// runs per candidate in parallel, **longest-first**: candidates are ordered by descending
 /// `len(a) + len(b)` (a cheap upper-bound cost proxy — a task's true cost
 /// is unknowable before it runs, §4.2 of the paper) so a huge true-overlap
 /// task picked up last cannot leave one worker aligning alone after the
 /// rest of the pool drains. Both paths scatter results back to input order
 /// before returning, making the schedule unobservable.
 pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -> BatchOutcome {
-    if params.kernel == KernelImpl::Batched {
+    if params.kernel != KernelImpl::Scalar {
         // The inter-sequence engine schedules the whole batch itself
         // (length buckets + lane refill) — same longest-first order, same
         // input-order records, bit-identical results.
@@ -133,7 +99,18 @@ pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -
     let scheduled: Vec<(u32, AlignmentRecord)> = order
         .par_iter()
         .map_init(SeedExtendScratch::new, |scratch, &t| {
-            (t, align_one(scratch, reads, &tasks[t as usize], params))
+            let cand = &tasks[t as usize];
+            let rec = align_candidate_with(
+                scratch,
+                reads.read(cand.a as usize),
+                reads.read(cand.b as usize),
+                cand,
+                params.k,
+                &params.scoring,
+                params.x,
+                &params.criteria,
+            );
+            (t, rec)
         })
         .collect();
     let mut slots: Vec<Option<AlignmentRecord>> = vec![None; tasks.len()];

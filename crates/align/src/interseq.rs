@@ -1,9 +1,8 @@
 //! Inter-sequence batched X-drop engine: many candidate pairs per register.
 //!
-//! The packed kernel ([`crate::packed`]) vectorises *within* one pair's
-//! antidiagonal, so its lane occupancy is bounded by the live band width —
-//! a few dozen cells on a true overlap, a handful on a dying false
-//! positive. This module turns the problem sideways, Farrar-style
+//! Vectorising *within* one pair's antidiagonal bounds lane occupancy by
+//! the live band width — a few dozen cells on a true overlap, a handful on
+//! a dying false positive. This module turns the problem sideways, Farrar-style
 //! ("Striped Smith–Waterman", Farrar 2007, adapted from intra- to
 //! inter-sequence striping): every SIMD lane carries a *different* pair,
 //! and all lanes advance their own DP front one antidiagonal per step in
@@ -39,13 +38,15 @@
 //! (`n, m ≤ 30 000`, `min(n, m)·match ≤ 30 000`, `|penalties| ≤ 1024`,
 //! `x ≤ 4096` — so rows, columns and the per-lane window counters stay
 //! below the dead-lane sentinel 32 000, live scores stay in
-//! `[-x, 30 000]`, transients below `i16` saturation, and every
-//! dead-predecessor value renormalises to exactly [`NEG16`] under the same
-//! argument as the packed kernel's `NEG` renormalisation). Ineligible
-//! pairs take the widen-to-`i32` retry path: they run on the bit-identical
-//! [`PackedXDropAligner`] instead. The proptests in
-//! `crates/align/tests/interseq_equivalence.rs` pin all three ISA paths
-//! against the scalar reference.
+//! `[-x, 30 000]` and transients below `i16` saturation). Dead cells need
+//! no branch: a cell whose predecessors are all dead computes at most
+//! `NEG16 + 1024 < -4096 ≤ best - x`, so the X-drop prune stores exactly
+//! [`NEG16`] there, which is what the scalar kernel's dead-cell guard
+//! yields. Ineligible pairs take the widen-to-`i32` retry path: the engine
+//! decodes them into bytes and runs the scalar reference
+//! [`XDropAligner`] itself. The proptests in
+//! `crates/align/tests/interseq_equivalence.rs` pin all three ISA paths,
+//! and the retry path, against the scalar reference.
 //!
 //! # Accelerator interface
 //!
@@ -55,10 +56,10 @@
 //! GPU scheduler work for de novo assembly, arXiv 2309.07270).
 
 use crate::batch::{AlignParams, BatchOutcome};
-use crate::packed::{PackedView, PackedXDropAligner, MAX_X};
+use crate::packed::PackedView;
 use crate::scoring::ScoringScheme;
 use crate::seed_extend::{assemble_record, packed_candidate_geometry, AlignmentRecord, Candidate};
-use crate::xdrop::Extension;
+use crate::xdrop::{Extension, XDropAligner};
 use gnb_genome::ReadSet;
 use std::collections::VecDeque;
 
@@ -384,8 +385,9 @@ enum LaneOutcome {
 // ---------------------------------------------------------------------------
 
 /// Reusable inter-sequence batched X-drop engine. One instance owns the
-/// striped scratch arrays and an `i32` fallback aligner; reuse it across
-/// batches to keep the hot path allocation-free at steady state.
+/// striped scratch arrays and the `i32` retry path's scalar aligner and
+/// byte buffers; reuse it across batches to keep the hot path
+/// allocation-free at steady state.
 #[derive(Debug)]
 pub struct BatchedXDropAligner {
     path: IsaPath,
@@ -397,7 +399,10 @@ pub struct BatchedXDropAligner {
     /// Striped augmented base codes for the stage's row / column windows.
     astrip: Vec<i8>,
     bstrip: Vec<i8>,
-    fallback: PackedXDropAligner,
+    /// The `i32` retry path: the scalar reference and the decoded pair.
+    fallback: XDropAligner,
+    fallback_a: Vec<u8>,
+    fallback_b: Vec<u8>,
 }
 
 impl Default for BatchedXDropAligner {
@@ -427,7 +432,9 @@ impl BatchedXDropAligner {
             cur: Vec::new(),
             astrip: Vec::new(),
             bstrip: Vec::new(),
-            fallback: PackedXDropAligner::new(),
+            fallback: XDropAligner::new(),
+            fallback_a: Vec::new(),
+            fallback_b: Vec::new(),
         }
     }
 
@@ -457,10 +464,6 @@ impl BatchedXDropAligner {
         x: i32,
     ) -> Vec<Extension> {
         assert!(x >= 0, "X-drop threshold must be non-negative");
-        assert!(
-            x <= MAX_X,
-            "X-drop threshold too large for the batched kernel"
-        );
         let mut out = vec![Extension::default(); pairs.len()];
         self.stats.tasks += pairs.len() as u64;
 
@@ -477,10 +480,8 @@ impl BatchedXDropAligner {
             if eligible_i16(a.len(), b.len(), sc, x) {
                 pools[0].push_back(Cont::fresh(i as u32));
             } else {
-                // Widen-to-i32 retry path: exactness can't be guaranteed in
-                // i16, so the pair runs on the packed i32 kernel instead.
-                out[i] = self.fallback.extend(*a, *b, sc, x);
-                self.stats.fallback_tasks += 1;
+                // Exactness can't be guaranteed in i16.
+                out[i] = self.retry(pairs[i], sc, x);
             }
         }
 
@@ -506,14 +507,27 @@ impl BatchedXDropAligner {
                     LaneOutcome::Done(task, ext) => out[task as usize] = ext,
                     LaneOutcome::Live(cont) => pools[g + 1].push_back(cont),
                     LaneOutcome::Retry(task) => {
-                        let (a, b) = &pairs[task as usize];
-                        out[task as usize] = self.fallback.extend(*a, *b, sc, x);
-                        self.stats.fallback_tasks += 1;
+                        out[task as usize] = self.retry(pairs[task as usize], sc, x);
                     }
                 }
             }
         }
         out
+    }
+
+    /// The widen-to-`i32` retry path: decodes the pair into the engine's
+    /// byte buffers and extends it with the scalar reference kernel.
+    fn retry(
+        &mut self,
+        (a, b): (PackedView<'_>, PackedView<'_>),
+        sc: &ScoringScheme,
+        x: i32,
+    ) -> Extension {
+        decode_into(&mut self.fallback_a, a);
+        decode_into(&mut self.fallback_b, b);
+        self.stats.fallback_tasks += 1;
+        self.fallback
+            .extend(&self.fallback_a, &self.fallback_b, sc, x)
     }
 
     /// Runs one cohort from diagonal `d0` (exclusive) to `d1` (inclusive)
@@ -987,6 +1001,19 @@ fn lane_extension(best: i16, aext: i16, bext: i16, cells: u64) -> Extension {
     }
 }
 
+/// Overwrites `buf` with the bases of `view` as ASCII: codes map to `ACGT`
+/// and N lanes to `b'N'`, the alphabet the scalar reference reads.
+fn decode_into(buf: &mut Vec<u8>, view: PackedView<'_>) {
+    buf.clear();
+    buf.extend((0..view.len()).map(|i| {
+        if view.is_n(i) {
+            b'N'
+        } else {
+            b"ACGT"[view.code(i) as usize]
+        }
+    }));
+}
+
 /// Fills rows `from..=to` of a lane-major stripe whose row 0 is position
 /// `base`: slot `(p - base) * lanes + l` holds the augmented code of base
 /// `p + shift` of lane `l`'s `(view, shift)`, or `ambig` where that base is
@@ -1424,10 +1451,10 @@ mod simd {
 
 /// Aligns a candidate batch with the batched engine: builds the
 /// [`BatchPlan`], then per bucket expands each candidate into its two
-/// extension tasks (strand-normalised views, exactly as the packed
-/// per-candidate path slices them), runs the engine, and assembles records.
-/// Records come back in input order; the per-record values are bit-identical
-/// to the scalar and packed kernels.
+/// extension tasks (strand-normalised views: a suffix for the right
+/// extension, a reversed prefix for the left), runs the engine, and
+/// assembles records. Records come back in input order; the per-record
+/// values are bit-identical to the scalar kernel's.
 pub fn align_candidates_batched(
     reads: &ReadSet,
     tasks: &[Candidate],

@@ -12,14 +12,13 @@
 //! * [`xdrop::xdrop_extend`] — banded antidiagonal X-drop extension, the
 //!   reference kernel: average-case O(n), terminates early on
 //!   false-positive seeds (the source of the paper's variable task costs);
-//! * [`packed::PackedXDropAligner`] — the same algorithm over 2-bit packed
-//!   sequences with 32-way base comparison and a branch-reduced inner loop,
-//!   bit-identical to the scalar kernel; the batched engine's `i32`
-//!   fallback;
 //! * [`interseq::BatchedXDropAligner`] — the production kernel: one pair
 //!   per SIMD lane, 8/16/32 pairs per register, length-bucketed with lane
 //!   refill, bit-identical to the scalar kernel (selected per batch via
-//!   [`KernelImpl`]);
+//!   [`KernelImpl`]). Pairs outside its exact `i16` range run on the
+//!   scalar kernel;
+//! * [`packed::PackedView`] — suffix, reversed-prefix and reverse-complement
+//!   views over the 2-bit reads the batched engine reads;
 //! * [`seed_extend::align_candidate`] — the full candidate workflow: strand
 //!   normalisation, two-directional extension from the seed, overlap
 //!   classification (paper Fig. 2), acceptance criteria;
@@ -47,24 +46,26 @@ pub use batch::{align_batch, BatchOutcome};
 pub use interseq::{
     BatchPlan, BatchStats, BatchedXDropAligner, BucketDesc, IsaPath, LengthBuckets,
 };
-pub use packed::{PackedView, PackedXDropAligner};
+pub use packed::PackedView;
 pub use scoring::ScoringScheme;
 pub use seed_extend::{align_candidate, AcceptCriteria, AlignmentRecord, Candidate, OverlapClass};
 pub use xdrop::{xdrop_extend, Extension, XDropAligner};
 
 /// Which X-drop kernel implementation a batch runs.
 ///
-/// All variants return bit-identical [`Extension`]s on DNA-with-N inputs
-/// (the packed and batched kernels assert this contract via equivalence
-/// proptests); selection is therefore a pure performance choice, and the
+/// There are two kernels, and both return bit-identical [`Extension`]s on
+/// DNA-with-N inputs (the batched engine's equivalence proptests assert
+/// this); selection is therefore a pure performance choice, and the
 /// default is the fastest, [`KernelImpl::Batched`]. The scalar kernel is
-/// retained as the reference implementation and as the fallback for
-/// sequences that are not valid `{A,C,G,T,N}` DNA.
+/// the reference implementation. Reads in a [`gnb_genome::ReadSet`] are
+/// always over `{A,C,G,T,N}`, so every read set meets the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum KernelImpl {
     /// Byte-at-a-time reference kernel ([`XDropAligner`]).
     Scalar,
-    /// 2-bit packed, branch-reduced kernel ([`PackedXDropAligner`]).
+    /// Alias of [`KernelImpl::Batched`]: runs the batched engine. Kept
+    /// because the benchmark's kernel comparison (`benchmark/src/pipe.rs`)
+    /// still names it.
     Packed,
     /// Inter-sequence batched kernel ([`BatchedXDropAligner`]): many pairs
     /// per SIMD register, scheduled over length buckets with lane refill.

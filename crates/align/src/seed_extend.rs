@@ -13,7 +13,7 @@
 //! 5. applying acceptance criteria (the paper saves only alignments that
 //!    "meet or exceed the user or default scoring criteria").
 
-use crate::packed::{PackedView, PackedXDropAligner};
+use crate::packed::PackedView;
 use crate::scoring::ScoringScheme;
 use crate::xdrop::{Extension, XDropAligner};
 use gnb_genome::PackedSlice;
@@ -103,7 +103,6 @@ pub struct AlignmentRecord {
 #[derive(Debug, Default)]
 pub struct SeedExtendScratch {
     aligner: XDropAligner,
-    packed: PackedXDropAligner,
     b_rc: Vec<u8>,
     a_rev: Vec<u8>,
     b_rev: Vec<u8>,
@@ -190,7 +189,7 @@ pub fn align_candidate_with(
 }
 
 /// Builds the final record from the seed score and the two extensions —
-/// shared by the scalar, packed, and batched paths so their outputs stay
+/// shared by the scalar and batched paths so their outputs stay
 /// structurally identical by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_record(
@@ -231,9 +230,7 @@ pub(crate) fn assemble_record(
 }
 
 /// Strand-normalised packed geometry of a candidate: the views and seed
-/// score every packed-input path (per-candidate and batched) starts from.
-/// Factored out so the batched driver slices its extension tasks exactly
-/// as the per-candidate packed path does.
+/// score the batched driver slices its two extension tasks from.
 pub(crate) struct CandidateGeometry<'a> {
     /// Forward view of read `a`.
     pub a: PackedView<'a>,
@@ -295,76 +292,6 @@ pub(crate) fn packed_candidate_geometry<'a>(
         b_pos,
         seed_score,
     }
-}
-
-/// Packed-kernel variant of [`align_candidate_with`]: same candidate
-/// workflow over packed reads, returning a bit-identical record. Strand
-/// normalisation and the left extension's reversal are O(1) view
-/// constructions (no reverse-complement buffer is materialised), and the
-/// seed is scored directly from the 2-bit codes.
-///
-/// # Panics
-/// Panics if the seed windows fall outside the reads (a corrupt candidate).
-#[allow(clippy::too_many_arguments)]
-pub fn align_candidate_packed_with(
-    scratch: &mut SeedExtendScratch,
-    seq_a: PackedSlice<'_>,
-    seq_b: PackedSlice<'_>,
-    cand: &Candidate,
-    k: usize,
-    sc: &ScoringScheme,
-    x: i32,
-    criteria: &AcceptCriteria,
-) -> AlignmentRecord {
-    let g = packed_candidate_geometry(seq_a, seq_b, cand, k, sc);
-
-    let right = scratch
-        .packed
-        .extend(g.a.suffix(g.a_pos + k), g.b_norm.suffix(g.b_pos + k), sc, x);
-    let left = scratch
-        .packed
-        .extend(g.a.rev_prefix(g.a_pos), g.b_norm.rev_prefix(g.b_pos), sc, x);
-
-    assemble_record(
-        cand,
-        g.seed_score,
-        &left,
-        &right,
-        g.a_pos,
-        g.b_pos,
-        k,
-        seq_a.len,
-        g.b_norm.len(),
-        criteria,
-    )
-}
-
-/// One-shot packed-kernel wrapper over byte sequences: packs both inputs,
-/// then runs [`align_candidate_packed_with`]. Intended for tests and
-/// one-off calls — batch paths should reuse the load-time packing in
-/// [`gnb_genome::ReadSet::packed_read`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn align_candidate_packed(
-    seq_a: &[u8],
-    seq_b: &[u8],
-    cand: &Candidate,
-    k: usize,
-    sc: &ScoringScheme,
-    x: i32,
-    criteria: &AcceptCriteria,
-) -> AlignmentRecord {
-    let pa = gnb_genome::PackedSeq::from_bytes(seq_a);
-    let pb = gnb_genome::PackedSeq::from_bytes(seq_b);
-    align_candidate_packed_with(
-        &mut SeedExtendScratch::new(),
-        pa.as_slice(),
-        pb.as_slice(),
-        cand,
-        k,
-        sc,
-        x,
-        criteria,
-    )
 }
 
 /// One-shot wrapper over [`align_candidate_with`] with fresh scratch.
@@ -609,35 +536,6 @@ mod tests {
             X,
             &crit(0, 0),
         );
-    }
-
-    #[test]
-    fn packed_path_matches_scalar_both_strands() {
-        let (a, b, core_start) = dovetail_pair(300, 400, 300);
-        let k = 17;
-        let fwd = Candidate {
-            a: 0,
-            b: 1,
-            a_pos: (core_start + 100) as u32,
-            b_pos: 100,
-            same_strand: true,
-        };
-        let crit = AcceptCriteria::default();
-        let scalar = align_candidate(&a, &b, &fwd, k, &SC, X, &crit);
-        let packed = align_candidate_packed(&a, &b, &fwd, k, &SC, X, &crit);
-        assert_eq!(scalar, packed);
-
-        let b_rc = revcomp(&b);
-        let rev = Candidate {
-            a: 0,
-            b: 1,
-            a_pos: (core_start + 100) as u32,
-            b_pos: (b.len() - k - 100) as u32,
-            same_strand: false,
-        };
-        let scalar = align_candidate(&a, &b_rc, &rev, k, &SC, X, &crit);
-        let packed = align_candidate_packed(&a, &b_rc, &rev, k, &SC, X, &crit);
-        assert_eq!(scalar, packed);
     }
 
     #[test]

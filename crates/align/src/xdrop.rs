@@ -1,7 +1,8 @@
 //! X-drop alignment extension (Zhang, Schwartz, Wagner & Miller, 2000).
 //!
 //! The study's alignment kernel, in its scalar reference form (the batched
-//! and packed kernels must agree with it bit-for-bit). Starting from an
+//! engine must agree with it bit-for-bit, and runs it for the pairs its
+//! `i16` lanes cannot hold exactly). Starting from an
 //! anchor at `(0, 0)` — in practice, the end of a seed — the extension
 //! explores the DP matrix antidiagonal by antidiagonal, keeping only the
 //! *live band*: cells whose score is within `X` of the best score seen so
@@ -19,8 +20,8 @@
 use crate::scoring::ScoringScheme;
 
 /// "Minus infinity" for dead cells, low enough that adding a gap penalty
-/// cannot wrap. Shared with the packed kernel, which must agree bit-for-bit.
-pub(crate) const NEG: i32 = i32::MIN / 4;
+/// cannot wrap.
+const NEG: i32 = i32::MIN / 4;
 
 /// Result of an X-drop extension anchored at `(0, 0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,7 +50,7 @@ pub struct XDropAligner {
 /// Index offset: slot `i + PAD` holds row `i`, leaving `PAD` guard slots on
 /// each side so band-edge reads at `i-1` (and diagonal reads two steps back)
 /// always land on initialised `NEG` sentinels.
-pub(crate) const PAD: usize = 2;
+const PAD: usize = 2;
 
 impl XDropAligner {
     /// Creates an empty scratch; arrays grow on first use.

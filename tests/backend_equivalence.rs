@@ -119,12 +119,12 @@ fn three_strategies_and_rayon_backend_agree() {
     assert!(checksums.windows(2).all(|p| p[0] == p[1]), "{checksums:x?}");
 }
 
-/// The packed kernel slots into the same chain: both kernels
-/// produce record-identical batch outcomes (same tasks, same cells, same
-/// accepted set), and the workload derived from the packed-kernel run
-/// drives all three coordination strategies to one checksum. Kernel
-/// selection is a pure performance choice — nothing downstream can tell
-/// which one ran.
+/// `KernelImpl::Packed`, an alias of the batched engine, slots into the
+/// same chain: it produces record-identical batch outcomes to the scalar
+/// reference (same tasks, same cells, same accepted set), and the workload
+/// derived from its run drives all three coordination strategies to one
+/// checksum. Kernel selection is a pure performance choice — nothing
+/// downstream can tell which one ran.
 #[test]
 fn packed_kernel_drives_identical_simulations() {
     let preset = presets::ecoli_30x().scaled(1024);
@@ -162,8 +162,8 @@ fn packed_kernel_drives_identical_simulations() {
 /// lane-refill schedule produces record-identical batch outcomes to the
 /// scalar reference (same tasks, same cells, same accepted set), and the
 /// workload derived from the batched-kernel run drives all three
-/// coordination strategies to one checksum. Like `Packed`, `Batched` is a
-/// pure performance choice — nothing downstream can tell which one ran.
+/// coordination strategies to one checksum. `Batched` is a pure
+/// performance choice — nothing downstream can tell which one ran.
 #[test]
 fn batched_kernel_drives_identical_simulations() {
     let preset = presets::ecoli_30x().scaled(1024);
