@@ -269,6 +269,42 @@ mod tests {
         assert_eq!(scalar.total_cells, batched.total_cells);
     }
 
+    /// Lowercase and IUPAC input reaches every kernel as the same
+    /// `{A,C,G,T,N}` read, because `ReadSet::push` normalises it.
+    #[test]
+    fn kernels_agree_on_lowercase_and_iupac_reads() {
+        let o = ReadOrigin {
+            start: 0,
+            ref_len: 0,
+            strand: Strand::Forward,
+        };
+        let lower: Vec<u8> = (0..2000).map(|i| b"acgt"[(i * 7 + i / 3) % 4]).collect();
+        let iupac: Vec<u8> = (0..2000)
+            .map(|i| b"ACGTRYacgtn"[(i * 5 + i / 7) % 11])
+            .collect();
+        let mut reads = ReadSet::new();
+        for seq in [&lower, &lower, &iupac, &iupac] {
+            reads.push(seq, o);
+        }
+        let cands: Vec<Candidate> = [(0, 1), (2, 3)]
+            .map(|(a, b)| Candidate {
+                a,
+                b,
+                a_pos: 100,
+                b_pos: 100,
+                same_strand: true,
+            })
+            .to_vec();
+        let run = |kernel| align_batch(&reads, &cands, &AlignParams { kernel, ..params() });
+        let scalar = run(crate::KernelImpl::Scalar);
+        assert!(scalar.records[0].accepted && scalar.records[0].score == 2000);
+        for kernel in [crate::KernelImpl::Batched, crate::KernelImpl::Packed] {
+            let out = run(kernel);
+            assert_eq!(scalar.records, out.records, "{kernel:?}");
+            assert_eq!(scalar.total_cells, out.total_cells, "{kernel:?}");
+        }
+    }
+
     #[test]
     fn both_candidates_accepted() {
         let (reads, cands) = make_reads();

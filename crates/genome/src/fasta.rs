@@ -2,9 +2,9 @@
 //!
 //! The library operates on in-memory [`ReadSet`]s, but real pipelines start
 //! from FASTA files; this module lets the examples and the end-to-end CLI
-//! ingest and emit standard files. Sequences are upper-cased on input and
-//! any IUPAC ambiguity code other than `ACGT` is normalised to `N`, matching
-//! the 5-letter alphabet assumption in the paper (§2).
+//! ingest and emit standard files. Sequences are upper-cased and any IUPAC
+//! ambiguity code other than `ACGT` becomes `N` (by [`ReadSet::push`]),
+//! matching the 5-letter alphabet assumption in the paper (§2).
 
 use crate::reads::{ReadOrigin, ReadSet, Strand};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -39,7 +39,7 @@ pub fn read_fasta<R: Read>(reader: R) -> io::Result<ReadSet> {
                     "FASTA sequence data before first '>' header",
                 ));
             }
-            current.extend(line.bytes().map(normalise_base));
+            current.extend_from_slice(line.as_bytes());
         }
     }
     if in_record && !current.is_empty() {
@@ -117,8 +117,7 @@ pub fn read_fastq<R: Read>(reader: R) -> io::Result<ReadSet> {
                 "FASTQ quality length differs from sequence length",
             ));
         }
-        let normalised: Vec<u8> = seq.trim_end().bytes().map(normalise_base).collect();
-        set.push(&normalised, placeholder);
+        set.push(seq.trim_end().as_bytes(), placeholder);
     }
     Ok(set)
 }
@@ -126,14 +125,6 @@ pub fn read_fastq<R: Read>(reader: R) -> io::Result<ReadSet> {
 /// Reads a FASTQ file from disk.
 pub fn read_fastq_file<P: AsRef<Path>>(path: P) -> io::Result<ReadSet> {
     read_fastq(std::fs::File::open(path)?)
-}
-
-#[inline]
-fn normalise_base(b: u8) -> u8 {
-    match b.to_ascii_uppercase() {
-        c @ (b'A' | b'C' | b'G' | b'T') => c,
-        _ => b'N',
-    }
 }
 
 #[cfg(test)]

@@ -50,10 +50,13 @@ impl ReadOrigin {
 
 /// A set of long reads in flat (structure-of-arrays) storage.
 ///
-/// Alongside the byte buffer, every read is 2-bit packed **once at push
-/// time** (codes + N mask, word-aligned per read; see [`crate::packed`]),
-/// so the packed alignment kernel can take [`PackedSlice`] views with zero
-/// per-alignment re-encoding.
+/// Every stored base is one of `A`, `C`, `G`, `T`, `N`: [`ReadSet::push`]
+/// upper-cases its input and turns every other byte into `N`, so the byte
+/// and packed forms of a read always agree and every alignment kernel sees
+/// the same sequence. Alongside the byte buffer, every read is 2-bit packed
+/// **once at push time** (codes + N mask, word-aligned per read; see
+/// [`crate::packed`]), so the batched alignment engine can take
+/// [`PackedSlice`] views with zero per-alignment re-encoding.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReadSet {
     data: Vec<u8>,
@@ -67,6 +70,15 @@ pub struct ReadSet {
     /// `pstarts.len() == len() + 1`; read `i`'s packed words are
     /// `pwords[pstarts[i]..pstarts[i+1]]`.
     pstarts: Vec<usize>,
+}
+
+/// The stored form of one input byte: `ACGT` in either case as upper
+/// case, anything else as `N`.
+fn normalise_base(b: u8) -> u8 {
+    match b.to_ascii_uppercase() {
+        c @ (b'A' | b'C' | b'G' | b'T') => c,
+        _ => b'N',
+    }
 }
 
 impl Default for ReadSet {
@@ -89,12 +101,15 @@ impl ReadSet {
     }
 
     /// Appends a read with its provenance; returns its id (dense index).
+    /// Lowercase bases are upper-cased and every byte other than `ACGT`
+    /// (IUPAC ambiguity codes included) is stored as `N`.
     pub fn push(&mut self, seq: &[u8], origin: ReadOrigin) -> u32 {
         let id = self.origins.len() as u32;
-        self.data.extend_from_slice(seq);
+        let start = self.data.len();
+        self.data.extend(seq.iter().map(|&b| normalise_base(b)));
         self.offsets.push(self.data.len());
         self.origins.push(origin);
-        pack_append(seq, &mut self.pwords, &mut self.pnmask);
+        pack_append(&self.data[start..], &mut self.pwords, &mut self.pnmask);
         self.pstarts.push(self.pwords.len());
         id
     }
@@ -259,6 +274,8 @@ mod tests {
         rs.push(&long, o);
         rs.push(b"", o);
         rs.push(b"GGNNA", o);
+        rs.push(b"acgtRYnKacgt", o);
+        assert_eq!(rs.read(4), b"ACGTNNNNACGT");
         for i in 0..rs.len() {
             let bytes = rs.read(i);
             let p = rs.packed_read(i);
