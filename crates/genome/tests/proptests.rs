@@ -1,9 +1,11 @@
 //! Property-based tests for sequence primitives and samplers.
 
+use gnb_genome::fasta::{read_fasta, read_fastq};
 use gnb_genome::rng::LogNormal;
 use gnb_genome::seq::{complement, is_valid_dna, revcomp, revcomp_in_place};
-use gnb_genome::{ErrorModel, Genome, GenomeParams};
+use gnb_genome::{ErrorModel, Genome, GenomeParams, ReadSet};
 use proptest::prelude::*;
+use std::io;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -12,8 +14,106 @@ fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// Reads over upper- and lowercase bases and IUPAC codes.
+fn raw_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            prop_oneof![
+                Just(b'A'),
+                Just(b'c'),
+                Just(b'G'),
+                Just(b't'),
+                Just(b'N'),
+                Just(b'R'),
+                Just(b'y')
+            ],
+            1..60,
+        ),
+        0..5,
+    )
+}
+
+/// One byte-level mutation: `(kind, position, value)`. Kinds: flip bit
+/// `value % 8`, truncate, or insert one of `>`, `@`, `+`, `\r`, NUL, `0xFF`.
+fn mutations() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 0..6)
+}
+
+fn mutate(mut bytes: Vec<u8>, muts: &[(u8, usize, u8)]) -> Vec<u8> {
+    const INSERTS: [u8; 6] = [b'>', b'@', b'+', b'\r', 0, 0xFF];
+    for &(kind, pos, val) in muts {
+        match kind {
+            0 if !bytes.is_empty() => {
+                let at = pos % bytes.len();
+                bytes[at] ^= 1 << (val % 8);
+            }
+            1 => bytes.truncate(pos % (bytes.len() + 1)),
+            _ => bytes.insert(pos % (bytes.len() + 1), INSERTS[val as usize % 6]),
+        }
+    }
+    bytes
+}
+
+/// A parse either fails with `InvalidData` or yields reads over
+/// `{A,C,G,T,N}` only.
+fn check_parse(parsed: io::Result<ReadSet>) -> Result<(), TestCaseError> {
+    match parsed {
+        Ok(set) => {
+            for (_, seq) in set.iter() {
+                prop_assert!(
+                    is_valid_dna(seq),
+                    "stored read {:?}",
+                    String::from_utf8_lossy(seq)
+                );
+            }
+        }
+        Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Hostile input at the parser: FASTA and FASTQ text with bit flips,
+    /// truncation and inserted record markers, CR, NUL and `0xFF` bytes.
+    /// Both parsers, on both texts, return a typed error or a read set over
+    /// `{A,C,G,T,N}`, and never panic.
+    #[test]
+    fn parsers_survive_mutated_input(reads in raw_reads(), muts in mutations()) {
+        let mut fasta = Vec::new();
+        let mut fastq = Vec::new();
+        for (i, r) in reads.iter().enumerate() {
+            fasta.extend_from_slice(format!(">r{i}\n").as_bytes());
+            fasta.extend_from_slice(r);
+            fasta.push(b'\n');
+            fastq.extend_from_slice(format!("@r{i}\n").as_bytes());
+            fastq.extend_from_slice(r);
+            fastq.extend_from_slice(b"\n+\n");
+            fastq.extend(std::iter::repeat(b'I').take(r.len()));
+            fastq.push(b'\n');
+        }
+        // Unmutated, each text parses to its reads in normalised form.
+        let normalised: Vec<Vec<u8>> = reads
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .map(|&b| match b.to_ascii_uppercase() {
+                        c @ (b'A' | b'C' | b'G' | b'T') => c,
+                        _ => b'N',
+                    })
+                    .collect()
+            })
+            .collect();
+        for set in [read_fasta(&fasta[..]).unwrap(), read_fastq(&fastq[..]).unwrap()] {
+            let got: Vec<Vec<u8>> = set.iter().map(|(_, s)| s.to_vec()).collect();
+            prop_assert_eq!(&got, &normalised);
+        }
+        for text in [mutate(fasta, &muts), mutate(fastq, &muts)] {
+            check_parse(read_fasta(&text[..]))?;
+            check_parse(read_fastq(&text[..]))?;
+        }
+    }
 
     /// revcomp is an involution over the 5-letter alphabet.
     #[test]
