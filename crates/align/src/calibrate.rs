@@ -7,6 +7,10 @@
 //! (KNL cores run at 1.4 GHz with weak single-thread IPC; the default
 //! factor is documented in EXPERIMENTS.md). Absolute times are therefore
 //! approximate by design — the paper's *shapes* do not depend on them.
+//!
+//! [`measure_cell_rate_for`] times either of the crate's two kernels on the
+//! same pair: the scalar reference, or the batched engine on a full cohort
+//! of copies (`KernelImpl::Packed`, an alias, times the batched engine).
 
 use crate::packed::PackedView;
 use crate::scoring::ScoringScheme;

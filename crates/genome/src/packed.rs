@@ -6,13 +6,12 @@
 //! `i/32`). Ambiguous bases (`N`, or any byte outside `ACGT`) are encoded
 //! as code 0 with the corresponding 2-bit lane of a parallel *N mask* set
 //! to `0b11`; a lane of the mask is therefore either `0b00` (a real base)
-//! or `0b11` (never matches anything, mirroring
-//! [`crate::ScoringScheme`-style] "N matches nothing" semantics downstream).
+//! or `0b11` (an `N`, which the aligner's scoring never lets match
+//! anything).
 //!
-//! The packed form is what the alignment kernel consumes: XOR-ing two code
-//! words and OR-ing in both N masks yields a word whose 2-bit lanes are
-//! zero exactly where the bases match, comparing 32 base pairs in a handful
-//! of instructions. Packing happens **once per read at load time** (see
+//! The packed form is what the batched alignment engine reads: it extracts
+//! 32 bases per word window and stripes them into its per-lane base rows.
+//! Packing happens **once per read at load time** (see
 //! [`crate::ReadSet::push`]); downstream consumers only ever take cheap
 //! [`PackedSlice`] views.
 
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn xor_mask_match_semantics() {
         // (a ^ b) | na | nb has zero lanes exactly where bases match and
-        // neither is N — the kernel's 32-way comparison.
+        // neither is N: 32 base comparisons from two words.
         let a = b"ACGTNACGA";
         let b = b"ACCTNTCGA";
         let pa = PackedSeq::from_bytes(a);
