@@ -68,17 +68,36 @@ impl Default for AlignParams {
     }
 }
 
+/// Aligns one candidate with the scalar reference kernel.
+fn align_one(
+    scratch: &mut SeedExtendScratch,
+    reads: &ReadSet,
+    cand: &Candidate,
+    params: &AlignParams,
+) -> AlignmentRecord {
+    align_candidate_with(
+        scratch,
+        reads.read(cand.a as usize),
+        reads.read(cand.b as usize),
+        cand,
+        params.k,
+        &params.scoring,
+        params.x,
+        &params.criteria,
+    )
+}
+
 /// Aligns every candidate; records are returned in input order, so results
 /// are deterministic and independent of the schedule.
 ///
 /// [`KernelImpl::Batched`] (the default) and [`KernelImpl::Packed`] bypass
 /// the rayon path: the inter-sequence engine takes the whole batch and
 /// schedules it over length buckets with lane refill. The scalar kernel
-/// runs per candidate in parallel, **longest-first**: candidates are ordered by descending
-/// `len(a) + len(b)` (a cheap upper-bound cost proxy — a task's true cost
-/// is unknowable before it runs, §4.2 of the paper) so a huge true-overlap
-/// task picked up last cannot leave one worker aligning alone after the
-/// rest of the pool drains. Both paths scatter results back to input order
+/// runs per candidate in parallel, **longest-first**: candidates are
+/// ordered by descending `len(a) + len(b)` (a cheap upper-bound cost proxy
+/// — a task's true cost is unknowable before it runs, §4.2 of the paper)
+/// so a huge true-overlap task picked up last cannot leave one worker
+/// aligning alone after the rest of the pool drains. Both paths scatter results back to input order
 /// before returning, making the schedule unobservable.
 pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -> BatchOutcome {
     if params.kernel != KernelImpl::Scalar {
@@ -99,18 +118,7 @@ pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -
     let scheduled: Vec<(u32, AlignmentRecord)> = order
         .par_iter()
         .map_init(SeedExtendScratch::new, |scratch, &t| {
-            let cand = &tasks[t as usize];
-            let rec = align_candidate_with(
-                scratch,
-                reads.read(cand.a as usize),
-                reads.read(cand.b as usize),
-                cand,
-                params.k,
-                &params.scoring,
-                params.x,
-                &params.criteria,
-            );
-            (t, rec)
+            (t, align_one(scratch, reads, &tasks[t as usize], params))
         })
         .collect();
     let mut slots: Vec<Option<AlignmentRecord>> = vec![None; tasks.len()];
@@ -146,18 +154,7 @@ pub fn align_batch_serial(
     let mut scratch = SeedExtendScratch::new();
     let records: Vec<AlignmentRecord> = tasks
         .iter()
-        .map(|cand| {
-            align_candidate_with(
-                &mut scratch,
-                reads.read(cand.a as usize),
-                reads.read(cand.b as usize),
-                cand,
-                params.k,
-                &params.scoring,
-                params.x,
-                &params.criteria,
-            )
-        })
+        .map(|cand| align_one(&mut scratch, reads, cand, params))
         .collect();
     let elapsed = start.elapsed();
     let total_cells = records.iter().map(|r| r.cells).sum();

@@ -90,7 +90,7 @@ proptest! {
             fastq.extend_from_slice(format!("@r{i}\n").as_bytes());
             fastq.extend_from_slice(r);
             fastq.extend_from_slice(b"\n+\n");
-            fastq.extend(std::iter::repeat(b'I').take(r.len()));
+            fastq.extend(std::iter::repeat_n(b'I', r.len()));
             fastq.push(b'\n');
         }
         // Unmutated, each text parses to its reads in normalised form.
