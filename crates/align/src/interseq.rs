@@ -2,8 +2,8 @@
 //!
 //! Vectorising *within* one pair's antidiagonal bounds lane occupancy by
 //! the live band width — a few dozen cells on a true overlap, a handful on
-//! a dying false positive. This module turns the problem sideways, Farrar-style
-//! ("Striped Smith–Waterman", Farrar 2007, adapted from intra- to
+//! a dying false positive. This module turns the problem sideways,
+//! Farrar-style ("Striped Smith–Waterman", Farrar 2007, adapted from intra- to
 //! inter-sequence striping): every SIMD lane carries a *different* pair,
 //! and all lanes advance their own DP front one antidiagonal per step in
 //! lockstep. Occupancy then depends only on how long lanes keep working,
