@@ -739,6 +739,24 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
         if let Some(obs) = &mut core.obs {
             obs.on_requeue(ev.seq, new_seq);
         }
+        // The next pops would hand out the rest of this rank's backlog,
+        // each entry to be deferred to the same instant: move it now, a
+        // run at a time. Entries the crash check would kill stay put and
+        // take the path above.
+        let fault = core.fault.as_ref();
+        let obs = &mut core.obs;
+        core.deferrals += core.queue.redefer_lane_front(
+            r,
+            busy,
+            |t| membership::crash_dooms(fault, r, r, t, busy),
+            |old, new, len| {
+                if let Some(obs) = obs {
+                    for i in 0..len {
+                        obs.on_requeue(old + i, new + i);
+                    }
+                }
+            },
+        );
         return;
     }
     // Transient stall: the rank is frozen when this event would

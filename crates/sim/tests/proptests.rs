@@ -1,13 +1,11 @@
 //! Property-based tests of the DES engine: message conservation, barrier
 //! correctness, virtual-time monotonicity, and determinism under random
-//! SPMD programs; and of the event queue against a single-heap model.
+//! SPMD programs. The event queue's single-heap model test lives beside
+//! the queue (`event.rs`), because it drives a crate-internal entry point.
 
 use gnb_sim::engine::{Ctx, Program, TimeCategory};
-use gnb_sim::event::{EventQueue, QueuedEvent};
-use gnb_sim::{Engine, EventPayload, NetParams, SimTime, TieBreak};
+use gnb_sim::{Engine, NetParams, SimTime};
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Msg {
@@ -181,105 +179,5 @@ proptest! {
                 prop_assert_eq!(arrival.as_ns(), now.as_ns() + p.intra_alpha_ns);
             }
         }
-    }
-}
-
-/// `(time, order(seq), seq, dst, payload)`.
-type ModelEntry = (SimTime, u64, u64, usize, u64);
-
-/// The reference model of [`EventQueue`]: one binary heap ordered by
-/// `(time, order(seq))`, where a requeue is a fresh entry — the queue's
-/// whole contract, and its implementation before deferred events moved to
-/// per-destination lanes.
-#[derive(Default)]
-struct HeapModel {
-    heap: BinaryHeap<Reverse<ModelEntry>>,
-    next_seq: u64,
-    tie_break: TieBreak,
-}
-
-impl HeapModel {
-    fn push(&mut self, time: SimTime, dst: usize, payload: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((
-            time,
-            self.tie_break.order(seq),
-            seq,
-            dst,
-            payload,
-        )));
-        seq
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, usize, u64)> {
-        let Reverse((time, _, seq, dst, payload)) = self.heap.pop()?;
-        Some((time, seq, dst, payload))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.0)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
-
-    /// Random interleavings of push / pop_entry / requeue / resolve pop in
-    /// the model's order with the model's sequence numbers, under both
-    /// tie-breaks. Times and destinations come from small ranges, so many
-    /// destinations share one time and a requeue lands before, at and
-    /// after the back of its destination's lane.
-    #[test]
-    fn event_queue_matches_single_heap_model(
-        lifo in any::<bool>(),
-        ops in proptest::collection::vec((0u8..8, 0usize..5, 0u64..6, 0usize..4), 1..200)
-    ) {
-        let tb = if lifo { TieBreak::Lifo } else { TieBreak::Fifo };
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.set_tie_break(tb);
-        let mut model = HeapModel { tie_break: tb, ..HeapModel::default() };
-        // Popped and not yet requeued or resolved, with the model's view.
-        let mut held: Vec<(QueuedEvent, u64)> = Vec::new();
-        let mut payloads = 0u64;
-        for (kind, dst, t, pick) in ops {
-            let time = SimTime::from_ns(t);
-            match kind {
-                0 | 1 => {
-                    payloads += 1;
-                    let msg = EventPayload::Message { src: dst, msg: payloads };
-                    prop_assert_eq!(q.push(time, dst, msg), model.push(time, dst, payloads));
-                }
-                2..=4 => {
-                    let got = q.pop_entry();
-                    let want = model.pop();
-                    prop_assert_eq!(got.map(|e| (e.time, e.seq, e.dst)), want.map(|w| (w.0, w.1, w.2)));
-                    if let (Some(e), Some(w)) = (got, want) {
-                        held.push((e, w.3));
-                    }
-                }
-                _ if held.is_empty() => {}
-                5 | 6 => {
-                    let (e, payload) = held.swap_remove(pick % held.len());
-                    prop_assert_eq!(q.requeue(e, time), model.push(time, e.dst, payload));
-                }
-                _ => {
-                    let (e, payload) = held.swap_remove(pick % held.len());
-                    prop_assert_eq!(q.resolve(e), EventPayload::Message { src: e.dst, msg: payload });
-                }
-            }
-            prop_assert_eq!(q.len(), model.heap.len());
-            prop_assert_eq!(q.is_empty(), model.heap.is_empty());
-            prop_assert_eq!(q.peek_time(), model.peek_time());
-        }
-        // Drain: whatever is left comes out in the model's order.
-        while let Some(w) = model.pop() {
-            let e = q.pop().expect("the queue holds what the model holds");
-            prop_assert_eq!(
-                (e.time, e.seq, e.dst, e.payload),
-                (w.0, w.1, w.2, EventPayload::Message { src: w.2, msg: w.3 })
-            );
-        }
-        prop_assert!(q.pop().is_none());
     }
 }
