@@ -133,7 +133,7 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Sum of all per-category totals; equals `end_time` by construction.
     pub fn total_ns(&self) -> u64 {
-        self.totals_ns.iter().sum()
+        self.totals_ns.iter().fold(0, |a, &b| a.saturating_add(b))
     }
 
     /// Renders the per-category attribution table (deterministic; permille
@@ -153,7 +153,7 @@ impl CriticalPath {
             if ns == 0 {
                 continue;
             }
-            let permille = ns * 1000 / total;
+            let permille = (u128::from(ns) * 1000 / u128::from(total)) as u64;
             let _ = writeln!(
                 out,
                 "  {:<14} {:>16} ns  {:>3}.{}%",
@@ -350,7 +350,8 @@ pub fn critical_path(obs: &Obs) -> Result<CriticalPath, String> {
     segments.reverse();
     let mut totals_ns = [0u64; CP_CATEGORIES];
     for s in &segments {
-        totals_ns[s.category as usize] += (s.end - s.start).as_ns();
+        let total = &mut totals_ns[s.category as usize];
+        *total = total.saturating_add((s.end - s.start).as_ns());
     }
     Ok(CriticalPath {
         segments,

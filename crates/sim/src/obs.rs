@@ -43,6 +43,12 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Sentinel rank for global (non-per-rank) metric series.
 pub const GLOBAL_RANK: u32 = u32::MAX;
 
+/// The most ranks a `.gnbtrace` text may declare. The analyses allocate
+/// per rank (one timeline row, one dispatch index each), so an absurd
+/// header must be refused rather than allocated; 2²⁰ is 32× the paper's
+/// largest machine (512 nodes × 64 ranks).
+const MAX_TEXT_RANKS: usize = 1 << 20;
+
 /// How a dispatched event came to exist: the type of its causal edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EdgeKind {
@@ -578,12 +584,13 @@ impl Obs {
     }
 
     /// Per-category busy totals across all spans, ns (index =
-    /// [`TimeCategory`] as usize).
+    /// [`TimeCategory`] as usize). Saturates at `u64::MAX`, which only a
+    /// hand-edited recording reaches.
     pub fn busy_totals_ns(&self) -> [u64; crate::engine::CATEGORIES] {
         let mut out = [0u64; crate::engine::CATEGORIES];
         for s in &self.spans {
             if let Some(slot) = out.get_mut(s.category as usize) {
-                *slot += (s.end - s.start).as_ns();
+                *slot = slot.saturating_add((s.end - s.start).as_ns());
             }
         }
         out
@@ -676,7 +683,70 @@ impl Obs {
         o
     }
 
-    /// Parses the output of [`Obs::to_text`].
+    /// Checks what the analyses index by or subtract without looking:
+    /// `nranks` is at most [`MAX_TEXT_RANKS`], node ids equal their index,
+    /// every node and span id is `-` or names a node, every rank is below
+    /// `nranks` (or `-` for a global series), and no interval ends before
+    /// it starts. A recording of a run always passes.
+    fn check_references(&self) -> Result<(), String> {
+        if self.nranks > MAX_TEXT_RANKS {
+            return Err(format!(
+                "nranks {} exceeds the {MAX_TEXT_RANKS} a recording may declare",
+                self.nranks
+            ));
+        }
+        let node = |id: u32, what: &str| {
+            if id == NO_NODE || (id as usize) < self.nodes.len() {
+                Ok(())
+            } else {
+                Err(format!("{what} {id} names no node"))
+            }
+        };
+        let rank = |r: u32, what: &str| {
+            if (r as usize) < self.nranks {
+                Ok(())
+            } else {
+                Err(format!("{what} {r} is not below nranks {}", self.nranks))
+            }
+        };
+        let ordered = |start: SimTime, end: SimTime, what: &str| {
+            if start <= end {
+                Ok(())
+            } else {
+                Err(format!("{what} ends before it starts"))
+            }
+        };
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.id as usize != i {
+                return Err(format!("node {} at index {i}", n.id));
+            }
+            rank(n.rank, "node rank")?;
+            node(n.cause, "node cause")?;
+            ordered(n.start, n.end, "node")?;
+        }
+        for s in &self.spans {
+            node(s.node, "span node")?;
+            rank(s.rank, "span rank")?;
+            ordered(s.start, s.end, "span")?;
+        }
+        for i in &self.instants {
+            rank(i.rank, "inst rank")?;
+        }
+        for s in &self.stalls {
+            rank(s.rank, "stall rank")?;
+            ordered(s.at, s.thaw, "stall")?;
+        }
+        for s in &self.series {
+            if s.rank != GLOBAL_RANK {
+                rank(s.rank, "series rank")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses the output of [`Obs::to_text`], and refuses a text whose
+    /// records do not fit together (see `check_references`), so every
+    /// analysis of a parsed recording can index by its ids and ranks.
     pub fn from_text(text: &str) -> Result<Obs, String> {
         fn num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
             tok.ok_or_else(|| format!("missing {what}"))?
@@ -810,6 +880,7 @@ impl Obs {
         if (truncated_flag != 0) != obs.is_truncated() {
             return Err("truncated flag disagrees with drop counters".to_string());
         }
+        obs.check_references()?;
         for (i, s) in obs.series.iter().enumerate() {
             obs.series_index.insert((s.metric as u8, s.rank), i);
         }
@@ -954,6 +1025,24 @@ mod tests {
         assert!(Obs::from_text("gnbtrace v1\nnode 0\nend\n").is_err());
         assert!(Obs::from_text("gnbtrace v1\n").is_err(), "missing end");
         assert!(Obs::from_text("gnbtrace v1\ntruncated 1\nend\n").is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_dangling_references() {
+        let text = small_obs().to_text();
+        let bad = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from:?} not in the recording");
+            let err = Obs::from_text(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(!err.is_empty());
+        };
+        bad("nranks 2", "nranks 4294967295");
+        bad("nranks 2", "nranks 1");
+        bad("node 1 1", "node 7 1");
+        bad("node 2 1", "node 2 9");
+        bad("msg 0", "msg 3");
+        bad("span 0 0", "span 5 0");
+        bad("inst 1", "inst 2");
+        bad("node 0 0 0 100", "node 0 0 101 100");
     }
 
     #[test]

@@ -348,6 +348,25 @@ mod tests {
         assert_eq!(export(&parsed), export(&o));
     }
 
+    /// Durations near `u64::MAX` saturate instead of overflowing.
+    #[test]
+    fn hand_edited_maximal_durations_do_not_overflow() {
+        let max = u64::MAX;
+        let text = format!(
+            "gnbtrace v1\nnranks 1\nend_ns {max}\n\
+             dropped nodes 0 spans 0 instants 0 samples 0 edges 0\ntruncated 0\n\
+             node 0 0 0 {max} start - 0 0\nspan 0 0 0 0 {max}\nspan 0 0 0 0 {max}\n\
+             stall 0 0 {max}\nend\n"
+        );
+        let obs = parse(&text).expect("well-formed");
+        assert!(summarize(&obs).contains(&format!("{max} ns")));
+        assert!(export(&obs).contains("traceEvents"));
+        assert!(critical_path_report(&obs)
+            .expect("complete")
+            .contains("total"));
+        assert!(timeline(&obs, 10).starts_with("r0  |!!!!!!!!!!|"));
+    }
+
     #[test]
     fn series_tsv_renders() {
         let o = sample_obs(ObsConfig::default());
