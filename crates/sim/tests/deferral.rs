@@ -3,11 +3,11 @@
 //! two ranks that free up at the same instant serve interleaved backlogs.
 //!
 //! Both are properties of the simulated timeline. The event queue keeps
-//! deferred events in per-destination lanes instead of its main heap; the
-//! expectations below were computed by hand and recorded from the
-//! single-heap queue respectively, and must hold for any queue. A third
-//! test pins the whole deferral stream, recorder text included, of a
-//! scenario that mixes every case.
+//! deferred events apart from its main heap; the expectations below were
+//! computed by hand and recorded from the single-heap queue respectively,
+//! and must hold for any queue. Two more tests pin the whole deferral
+//! stream, recorder text included, of a scenario that mixes every case and
+//! of a group of ranks in lockstep.
 
 use gnb_sim::engine::{Ctx, Engine, Program, SimReport, TimeCategory};
 use gnb_sim::{CrashPlan, FaultPlan, ObsConfig, TieBreak};
@@ -268,4 +268,120 @@ fn pinned_deferral_stream_matches_recorded_constants() {
     };
     assert_eq!(run_mixed(TieBreak::Fifo), fifo);
     assert_eq!(run_mixed(TieBreak::Lifo), lifo);
+}
+
+/// Servers of the lockstep scenario: one service cost, so after the
+/// warm-up they free up at the same instants and their backlogs are
+/// re-deferred, interleaved, to one shared instant after every service.
+const GROUP: usize = 6;
+/// The group member that, after some services, arms a zero-delay
+/// self-tick: a fresh event at the group's next instant whose sequence
+/// number falls between entries already deferred there and entries still
+/// to come. The tick costs nothing, so the member stays in lockstep.
+const TICKER: usize = 3;
+/// The group member that crashes mid-instant and is reborn 1 µs later:
+/// its entries deferred across the crash die, the rest of the group's do
+/// not.
+const VICTIM: usize = 4;
+/// Clients of the lockstep scenario.
+const FEEDERS: usize = 30;
+
+/// The lockstep scenario's program: every client sends one request to
+/// each of three consecutive group members, starting at its own rank mod
+/// [`GROUP`], so the members' backlogs arrive round-robin and interleave
+/// at every shared instant.
+struct Lockstep {
+    log: ServiceLog,
+}
+
+impl Program<()> for Lockstep {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        if ctx.rank() < GROUP {
+            ctx.advance(WARMUP, TimeCategory::Compute);
+        } else {
+            ctx.after(SimTime::from_us(3 * ctx.rank() as u64 % 5), ());
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, src: usize, _msg: ()) {
+        let rank = ctx.rank();
+        if rank >= GROUP {
+            // The client's timer fired.
+            for i in 0..3 {
+                ctx.send((rank + i) % GROUP, 64, ());
+            }
+            return;
+        }
+        self.log.borrow_mut().push((rank, src));
+        if src == rank {
+            // The self-tick: served at no cost.
+            return;
+        }
+        ctx.advance(SERVICE, TimeCategory::Compute);
+        if rank == TICKER && src.is_multiple_of(2) {
+            ctx.after(SimTime::ZERO, ());
+        }
+    }
+
+    fn on_barrier(&mut self, _ctx: &mut Ctx<'_, ()>, _id: u64) {}
+}
+
+fn run_lockstep(tb: TieBreak) -> Pinned {
+    let log = ServiceLog::default();
+    let nranks = GROUP + FEEDERS;
+    let mut progs: Vec<Lockstep> = (0..nranks)
+        .map(|_| Lockstep {
+            log: Rc::clone(&log),
+        })
+        .collect();
+    let crash_at = WARMUP.as_ns() + SERVICE.as_ns() * 5 / 2;
+    let plan =
+        FaultPlan::new(1).with_crashes(CrashPlan::none().with_crash(VICTIM, crash_at, Some(1_000)));
+    let report = Engine::new(nranks, net())
+        .with_faults(plan)
+        .with_obs(ObsConfig::default())
+        .with_tie_break(tb)
+        .run(&mut progs);
+    let obs = report.obs.as_ref().expect("obs attached");
+    let served = log.borrow().clone();
+    Pinned {
+        events: report.events,
+        deferrals: report.deferrals,
+        end_ns: report.end_time.as_ns(),
+        crash_events_dropped: report.faults.crash_events_dropped,
+        served: served.len(),
+        log_fnv: fnv1a64(format!("{served:?}").as_bytes()),
+        obs_fnv: fnv1a64(obs.to_text().as_bytes()),
+    }
+}
+
+/// Pins the deferral stream of ranks in lockstep: six servers with one
+/// service cost whose round-robin backlogs share every deferral instant, a
+/// fresh self-tick landing at a shared instant between two deferred
+/// sequence numbers, and a crash that dooms one member's deferrals in the
+/// middle of an instant, under both tie-breaks and with the recorder
+/// attached. The constants were recorded from the one-entry-per-pop
+/// deferral path; any queue must reproduce them.
+#[test]
+fn lockstep_group_deferral_stream_matches_recorded_constants() {
+    let fifo = Pinned {
+        events: 149,
+        deferrals: 642,
+        end_ns: 1_150_000,
+        crash_events_dropped: 12,
+        served: 83,
+        log_fnv: 7_914_851_729_453_569_827,
+        obs_fnv: 7_260_521_485_847_418_053,
+    };
+    let lifo = Pinned {
+        events: 149,
+        deferrals: 646,
+        end_ns: 1_150_000,
+        crash_events_dropped: 12,
+        served: 83,
+        log_fnv: 3_606_698_540_845_077_516,
+        obs_fnv: 18_288_707_076_564_536_532,
+    };
+    assert_eq!(run_lockstep(TieBreak::Fifo), fifo);
+    assert_eq!(run_lockstep(TieBreak::Lifo), lifo);
 }
