@@ -106,7 +106,10 @@ pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -
         // input-order records, bit-identical results.
         return crate::interseq::align_batch_batched(reads, tasks, params);
     }
-    // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measures real alignment wall time; deterministic outputs are the records, not the timing"
+    )]
     let start = std::time::Instant::now();
     let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
     // Stable sort: equal-length tasks keep input order, so the schedule
@@ -149,7 +152,10 @@ pub fn align_batch_serial(
     tasks: &[Candidate],
     params: &AlignParams,
 ) -> BatchOutcome {
-    // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measures real alignment wall time; deterministic outputs are the records, not the timing"
+    )]
     let start = std::time::Instant::now();
     let mut scratch = SeedExtendScratch::new();
     let records: Vec<AlignmentRecord> = tasks

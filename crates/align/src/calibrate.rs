@@ -17,7 +17,10 @@ use crate::scoring::ScoringScheme;
 use crate::xdrop::XDropAligner;
 use crate::KernelImpl;
 use gnb_genome::PackedSeq;
-// gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
+#[expect(
+    clippy::disallowed_types,
+    reason = "calibration exists to measure the real host clock"
+)]
 use std::time::Instant;
 
 /// Measured DP-cell throughput.
@@ -74,7 +77,10 @@ pub fn measure_cell_rate_for(kernel: KernelImpl, target_cells: u64) -> CellRate 
             let mut aligner = XDropAligner::new();
             // Warm-up pass (page in buffers, settle frequency scaling).
             let _ = aligner.extend(&a, &b, &sc, 50);
-            // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "calibration exists to measure the real host clock"
+            )]
             let start = Instant::now();
             let mut cells = 0u64;
             while cells < target_cells {
@@ -105,7 +111,10 @@ pub fn measure_cell_rate_for(kernel: KernelImpl, target_cells: u64) -> CellRate 
                 .collect();
             let mut aligner = crate::interseq::BatchedXDropAligner::new();
             let _ = aligner.extend_batch(&pairs, &sc, 50);
-            // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "calibration exists to measure the real host clock"
+            )]
             let start = Instant::now();
             let mut cells = 0u64;
             while cells < target_cells {

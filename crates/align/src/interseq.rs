@@ -1529,7 +1529,10 @@ pub(crate) fn align_batch_batched(
     tasks: &[Candidate],
     params: &AlignParams,
 ) -> BatchOutcome {
-    // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measures real alignment wall time; deterministic outputs are the records, not the timing"
+    )]
     let start = std::time::Instant::now();
     let (records, _) = align_candidates_batched(reads, tasks, params);
     let elapsed = start.elapsed();

@@ -120,7 +120,10 @@ impl SeedExtendScratch {
 ///
 /// # Panics
 /// Panics if the seed windows fall outside the reads (a corrupt candidate).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel entry point: reads, candidate, seed length, scoring, X-drop and acceptance criteria are independent inputs"
+)]
 pub fn align_candidate_with(
     scratch: &mut SeedExtendScratch,
     seq_a: &[u8],
@@ -191,7 +194,10 @@ pub fn align_candidate_with(
 /// Builds the final record from the seed score and the two extensions —
 /// shared by the scalar and batched paths so their outputs stay
 /// structurally identical by construction.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel entry point: reads, candidate, seed length, scoring, X-drop and acceptance criteria are independent inputs"
+)]
 pub(crate) fn assemble_record(
     cand: &Candidate,
     seed_score: i32,
@@ -295,7 +301,6 @@ pub(crate) fn packed_candidate_geometry<'a>(
 }
 
 /// One-shot wrapper over [`align_candidate_with`] with fresh scratch.
-#[allow(clippy::too_many_arguments)]
 pub fn align_candidate(
     seq_a: &[u8],
     seq_b: &[u8],

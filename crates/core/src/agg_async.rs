@@ -173,17 +173,26 @@ impl WirePolicy for Coalescer {
         let mut bytes = 4 * reads.len() as u64;
         for &read in reads.iter() {
             rt.race_read(read as u64);
-            // gnb-lint: allow(panic-path, reason = "lengths is indexed by global read id; every batched read id was minted from the same plan")
-            bytes += lengths[read as usize] as u64;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "lengths is indexed by global read id; every batched read id was minted from the same plan"
+            )]
+            let len = lengths[read as usize];
+            bytes += len as u64;
         }
         (bytes, reads.len() as u64)
     }
 
     fn release(&mut self, _me: &AsyncRankPlan, key: u64) -> Vec<usize> {
-        self.batches
+        #[expect(
+            clippy::expect_used,
+            reason = "the runtime ledger delivers replies and give-ups only for keys this rank tracked, and the pull machine keeps takeover keys away from this map; a miss is ledger corruption and must abort deterministically"
+        )]
+        let reads = self
+            .batches
             .remove(&key)
-            // gnb-lint: allow(panic-path, reason = "the runtime ledger delivers replies and give-ups only for keys this rank tracked, and the pull machine keeps takeover keys away from this map; a miss is ledger corruption and must abort deterministically")
-            .expect("reply or give-up for a batch this rank never sent")
+            .expect("reply or give-up for a batch this rank never sent");
+        reads
     }
 }
 

@@ -128,16 +128,24 @@ pub fn plan_async(w: &SimWorkload, machine: &MachineConfig, cfg: &RunConfig) -> 
 impl AsyncPlan {
     /// Rank `r`'s inputs.
     pub(crate) fn rank(&self, r: usize) -> &AsyncRankPlan {
-        // gnb-lint: allow(panic-path, reason = "r is a rank id of the run this plan was built for — the hosting rank (fixed at Engine construction) or a dead rank from the engine's crash plan; per_rank has exactly nranks entries")
-        &self.per_rank[r]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "r is a rank id of the run this plan was built for — the hosting rank (fixed at Engine construction) or a dead rank from the engine's crash plan; per_rank has exactly nranks entries"
+        )]
+        let plan = &self.per_rank[r];
+        plan
     }
 }
 
 impl AsyncRankPlan {
     /// Remote group `gidx` of this rank.
     pub(crate) fn group(&self, gidx: usize) -> &AsyncGroup {
-        // gnb-lint: allow(panic-path, reason = "group indexes are only ever minted from this same rank plan: the window cursor bounded by groups.len(), a wire policy's release, or an adoption's enumerate over these groups")
-        &self.groups[gidx]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "group indexes are only ever minted from this same rank plan: the window cursor bounded by groups.len(), a wire policy's release, or an adoption's enumerate over these groups"
+        )]
+        let group = &self.groups[gidx];
+        group
     }
 }
 
@@ -181,15 +189,22 @@ impl WirePolicy for PerRead {
         let read = (key & 0xFFFF_FFFF) as usize;
         rt.race_read(read as u64);
         // One lookup unit; the reply ships the read itself.
-        // gnb-lint: allow(panic-path, reason = "lengths is indexed by global read id; the requested read id was minted from the same plan")
-        (lengths[read] as u64, 1)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lengths is indexed by global read id; the requested read id was minted from the same plan"
+        )]
+        let len = lengths[read];
+        (len as u64, 1)
     }
 
     fn release(&mut self, me: &AsyncRankPlan, key: u64) -> [usize; 1] {
+        #[expect(
+            clippy::expect_used,
+            reason = "the runtime ledger only routes replies and give-ups for keys this rank tracked; every tracked non-takeover key is a read of this rank's plan, so the search hit is a protocol invariant"
+        )]
         let gidx = me
             .groups
             .binary_search_by_key(&(key as u32), |g| g.read)
-            // gnb-lint: allow(panic-path, reason = "the runtime ledger only routes replies and give-ups for keys this rank tracked; every tracked non-takeover key is a read of this rank's plan, so the search hit is a protocol invariant")
             .expect("reply for a read this rank never requested");
         [gidx]
     }

@@ -68,6 +68,10 @@ const TASK_ENTRY_BYTES: u64 = 20;
 /// Builds the BSP round plan: memory-limited round count, per-round chunk
 /// assignment of remote-read groups, collective costs from per-round
 /// maximum send/recv loads.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "plan building indexes per-rank and per-round tables it sized itself, before any simulation runs"
+)]
 pub fn plan_bsp(w: &SimWorkload, machine: &MachineConfig, cfg: &RunConfig) -> BspPlan {
     let nranks = w.nranks;
     let cost = &cfg.cost;
@@ -195,7 +199,7 @@ pub fn plan_bsp(w: &SimWorkload, machine: &MachineConfig, cfg: &RunConfig) -> Bs
 
 /// The strategy-facing context of the BSP code: no strategy messages (BSP
 /// exchanges purely through collectives), no tracked requests.
-type BCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, (), ()>;
+type BCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, Infallible, Infallible>;
 
 /// The bulk-synchronous superstep state machine, hosted by
 /// [`crate::runtime::RankRuntime`]. All communication is through the
@@ -218,15 +222,19 @@ impl BspStrategy {
     }
 
     fn me(&self) -> &BspRankPlan {
-        // gnb-lint: allow(panic-path, reason = "self.rank < nranks is established at Engine construction and never changes")
-        &self.plan.per_rank[self.rank]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "self.rank < nranks is established at Engine construction and never changes"
+        )]
+        let me = &self.plan.per_rank[self.rank];
+        me
     }
 }
 
 impl CoordinationStrategy for BspStrategy {
     type App = Infallible;
-    type Req = ();
-    type Rep = ();
+    type Req = Infallible;
+    type Rep = Infallible;
 
     fn on_start(&mut self, rt: &mut BCtx<'_, '_>) {
         rt.mem_alloc(self.me().static_bytes);
@@ -238,6 +246,27 @@ impl CoordinationStrategy for BspStrategy {
         // Uninhabited: the empty match proves, rather than asserts, that
         // BSP has no strategy messages.
         match msg {}
+    }
+
+    // BSP tracks no requests: the payload types are uninhabited, so these
+    // hooks cannot be called.
+    fn on_request(
+        &mut self,
+        _rt: &mut BCtx<'_, '_>,
+        _src: usize,
+        _key: u64,
+        _attempt: u32,
+        payload: Infallible,
+    ) {
+        match payload {}
+    }
+
+    fn on_reply(&mut self, _rt: &mut BCtx<'_, '_>, _key: u64, payload: Infallible) {
+        match payload {}
+    }
+
+    fn on_give_up(&mut self, _rt: &mut BCtx<'_, '_>, _key: u64, payload: Infallible) {
+        match payload {}
     }
 
     fn on_adopt(&mut self, rt: &mut BCtx<'_, '_>, dead: usize, ckpt: Option<Vec<u8>>) {
@@ -252,7 +281,10 @@ impl CoordinationStrategy for BspStrategy {
         // were replicated to survivors by the pre-crash collectives, so
         // the replay recomputes from checkpointed input — overhead and
         // compute only, all booked as recovery.
-        // gnb-lint: allow(panic-path, reason = "dead is a rank id from the engine's crash plan; per_rank has exactly nranks entries by construction")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "dead is a rank id from the engine's crash plan; per_rank has exactly nranks entries by construction"
+        )]
         let d = &self.plan.per_rank[dead];
         let rest = d.overhead.iter().zip(&d.compute).zip(&d.tasks);
         for ((&overhead, &compute), &tasks) in rest.skip(next_round) {
@@ -267,9 +299,11 @@ impl CoordinationStrategy for BspStrategy {
         // imbalance between supersteps).
         rt.classify_idle(TimeCategory::Sync);
         let round = id as usize;
-        if round >= self.plan.rounds {
-            return; // final barrier: run complete
-        }
+        // round_comm has one entry per round: past the last is the final
+        // barrier, and the run is complete.
+        let Some(&comm) = self.plan.round_comm.get(round) else {
+            return;
+        };
         // Superstep boundary checkpoint: rounds `0..id` are complete. A
         // successor restoring this replays from round `id` on.
         if rt.ckpt_enabled() {
@@ -279,16 +313,21 @@ impl CoordinationStrategy for BspStrategy {
         // superstep-level detect-and-reissue recovery. A dry budget means
         // the round's data never arrives: skip the compute and let the
         // driver report a structured error.
-        // gnb-lint: allow(panic-path, reason = "the early return above bounds round by plan.rounds; round_comm has rounds entries")
-        if !rt.collective_exchange(id, self.plan.round_comm[round]) {
+        if !rt.collective_exchange(id, comm) {
             rt.barrier_enter(id + 1);
             return;
         }
         let me = self.me();
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        let (alloc, tasks) = (me.alloc_bytes[round], me.tasks[round]);
-        // gnb-lint: allow(panic-path, reason = "round < plan.rounds is checked at function entry; all per-round vectors have rounds entries")
-        let (overhead, compute) = (me.overhead[round], me.compute[round]);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "round < plan.rounds (round_comm.get above); all per-round vectors have rounds entries"
+        )]
+        let (alloc, tasks, overhead, compute) = (
+            me.alloc_bytes[round],
+            me.tasks[round],
+            me.overhead[round],
+            me.compute[round],
+        );
         rt.mem_alloc(alloc);
         // Compute everything associated with the received reads.
         rt.advance(overhead, TimeCategory::Overhead);
@@ -304,7 +343,7 @@ impl CoordinationStrategy for BspStrategy {
 
     /// This rank's task checksum (valid after the run).
     fn checksum(&self) -> u64 {
-        self.plan.per_rank[self.rank].checksum
+        self.me().checksum
     }
 }
 
@@ -398,10 +437,10 @@ mod tests {
     fn checksums_cover_all_tasks() {
         let w = workload(4);
         let plan = plan_bsp(&w, &machine(), &RunConfig::default());
-        let combined: u64 = plan
-            .per_rank
-            .iter()
-            .fold(0u64, |acc, p| acc.wrapping_add(p.checksum));
+        let mut combined = 0u64;
+        for p in &plan.per_rank {
+            combined = combined.wrapping_add(p.checksum);
+        }
         let expect = {
             let mut ids = Vec::new();
             for rd in &w.per_rank {

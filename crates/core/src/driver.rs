@@ -395,7 +395,12 @@ pub fn run_sim(
     algo: Algorithm,
     cfg: &RunConfig,
 ) -> RunResult {
-    try_run_sim(workload, machine, algo, cfg).unwrap_or_else(|e| panic!("{e}"))
+    #[expect(
+        clippy::panic,
+        reason = "the panicking form of try_run_sim, for experiments that treat a run error as fatal"
+    )]
+    let result = try_run_sim(workload, machine, algo, cfg).unwrap_or_else(|e| panic!("{e}"));
+    result
 }
 
 /// The strategy-independent half of a run: what [`try_run_sim`] derives
@@ -468,11 +473,12 @@ impl Host<'_> {
             .filter(|(r, _)| !dead.contains(r))
             .map(|(_, p)| p.tasks_done())
             .sum();
-        let sum = progs
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| cfg.crash_response == CrashResponse::Takeover || !dead.contains(r))
-            .fold(0u64, |acc, (_, p)| acc.wrapping_add(p.checksum()));
+        let mut sum = 0u64;
+        for (r, p) in progs.iter().enumerate() {
+            if cfg.crash_response == CrashResponse::Takeover || !dead.contains(&r) {
+                sum = sum.wrapping_add(p.checksum());
+            }
+        }
         let mut recovery = RecoveryStats::default();
         for p in &progs {
             recovery.absorb(p.recovery());
@@ -523,7 +529,7 @@ pub fn try_run_sim(
         machine,
         cfg,
         fault_plan: Arc::new(fault_plan),
-        ckpt_store: (!cfg.crash.is_empty()).then(|| Rc::new(RefCell::new(CkptStore::new(nranks)))),
+        ckpt_store: (!cfg.crash.is_empty()).then(|| Rc::new(RefCell::new(CkptStore::new()))),
         dead_ranks,
     };
     let (outcome, rounds) = match algo {
@@ -658,5 +664,36 @@ mod tests {
         let m = machine(1, 8);
         let w = small_workload(4);
         let _ = run_sim(&w, &m, Algorithm::Bsp, &RunConfig::default());
+    }
+
+    /// Every self-timer variant the real strategies arm reaches a handler
+    /// that acts on it. The compiler proves each `PullApp` variant has an
+    /// arm (this crate denies wildcard arms); this proves no arm drops its
+    /// message: polls drain all work, AggAsync's flush timers ship the
+    /// partial batches its window waits on, and checkpoint timers write
+    /// the checkpoint a successor restores.
+    #[test]
+    fn every_armed_app_variant_is_handled() {
+        let m = machine(1, 8);
+        let w = small_workload(m.nranks());
+        let clean = run_sim(&w, &m, Algorithm::Async, &RunConfig::default());
+        let end = clean.report.end_time.as_ns();
+        let cfg = RunConfig {
+            crash: CrashPlan::none().with_crash(3, end / 10 * 5, None),
+            crash_response: CrashResponse::Takeover,
+            crash_detect_ns: end / 100,
+            ckpt: CkptParams {
+                interval_ns: end / 10,
+                ..CkptParams::default()
+            },
+            rpc_max_retries: 24,
+            ..RunConfig::default()
+        };
+        for algo in [Algorithm::Async, Algorithm::AggAsync] {
+            let r = try_run_sim(&w, &m, algo, &cfg).unwrap_or_else(|e| panic!("{algo}: {e}"));
+            assert_eq!(r.tasks_done as usize, w.total_tasks, "{algo}");
+            assert_eq!(r.task_checksum, clean.task_checksum, "{algo}");
+            assert_eq!(r.recovery.restores, 1, "{algo}: a checkpoint was written");
+        }
     }
 }

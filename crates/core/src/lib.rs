@@ -40,6 +40,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
+)]
 
 pub mod agg_async;
 pub mod async_alg;

@@ -126,12 +126,18 @@ impl PipelineResult {
 
 /// Runs the full pipeline over `reads`.
 pub fn run_pipeline(reads: &ReadSet, params: &PipelineParams) -> PipelineResult {
-    // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-host stage timing for throughput reporting; never feeds simulated results"
+    )]
     let t0 = std::time::Instant::now();
     let mut counts = count_kmers(reads, params.k);
     let t_count = t0.elapsed();
 
-    // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-host stage timing for throughput reporting; never feeds simulated results"
+    )]
     let t1 = std::time::Instant::now();
     let distinct = counts.distinct();
     let model = BellaModel::new(params.coverage, params.error_rate, params.k);
@@ -140,7 +146,10 @@ pub fn run_pipeline(reads: &ReadSet, params: &PipelineParams) -> PipelineResult 
     let retained = counts.distinct();
     let t_filter = t1.elapsed();
 
-    // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-host stage timing for throughput reporting; never feeds simulated results"
+    )]
     let t2 = std::time::Instant::now();
     let index = match params.seeds {
         SeedMode::AllKmers => SeedIndex::build(reads, &counts),
@@ -149,12 +158,18 @@ pub fn run_pipeline(reads: &ReadSet, params: &PipelineParams) -> PipelineResult 
     drop(counts);
     let t_index = t2.elapsed();
 
-    // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-host stage timing for throughput reporting; never feeds simulated results"
+    )]
     let t3 = std::time::Instant::now();
     let tasks = generate_candidates(&index);
     let t_candidates = t3.elapsed();
 
-    // gnb-lint: allow(wall-clock, reason = "real-host stage timing for throughput reporting; never feeds simulated results")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "real-host stage timing for throughput reporting; never feeds simulated results"
+    )]
     let t4 = std::time::Instant::now();
     let outcome = align_batch(reads, &tasks, &params.align);
     let t_align = t4.elapsed();

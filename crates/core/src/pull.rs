@@ -219,8 +219,12 @@ impl<W: WirePolicy> PullStrategy<W> {
     /// Group `gidx` of this rank's plan is computed or abandoned.
     fn retire(&mut self, gidx: usize) {
         self.groups_done += 1;
-        // gnb-lint: allow(panic-path, reason = "done has one slot per group of this rank's plan; gidx came from the ready queue or the wire policy's release, both minted from that plan")
-        self.done[gidx] = true;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "done has one slot per group of this rank's plan; gidx came from the ready queue or the wire policy's release, both minted from that plan"
+        )]
+        let done = &mut self.done[gidx];
+        *done = true;
     }
 
     /// Classify an idle gap that was ended by a *foreign* event (request,
@@ -348,10 +352,13 @@ impl<W: WirePolicy> CoordinationStrategy for PullStrategy<W> {
         if key >= TAKEOVER_KEY_BASE {
             // An adopted shard's re-fetched read: run the dead rank's
             // group as recovery work.
+            #[expect(
+                clippy::expect_used,
+                reason = "the runtime ledger delivers replies only for keys this rank tracked; a miss is ledger corruption and must abort deterministically"
+            )]
             let (dead, gidx) = self
                 .adopted
                 .remove(&key)
-                // gnb-lint: allow(panic-path, reason = "the runtime ledger delivers replies only for keys this rank tracked; a miss is ledger corruption and must abort deterministically")
                 .expect("reply for an adoption this rank never started");
             let g = self.plan.rank(dead).group(gidx);
             rt.advance(g.overhead, TimeCategory::Recovery);
@@ -369,7 +376,7 @@ impl<W: WirePolicy> CoordinationStrategy for PullStrategy<W> {
         self.ensure_poll(rt);
     }
 
-    fn on_give_up(&mut self, rt: &mut PullCtx<'_, '_, W>, key: u64) {
+    fn on_give_up(&mut self, rt: &mut PullCtx<'_, '_, W>, key: u64, _payload: W::Req) {
         if key >= TAKEOVER_KEY_BASE {
             // An adopted re-fetch was abandoned (only possible when
             // message faults exhaust a budget against a live peer — the

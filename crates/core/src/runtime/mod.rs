@@ -39,10 +39,12 @@
 //! A new protocol implements [`CoordinationStrategy`] itself (see
 //! [`crate::bsp`]): pick an `App` message type for self-timers and
 //! strategy-internal messages ([`std::convert::Infallible`] for none), a
-//! `Req`/`Rep` payload pair for tracked requests, drive requests with
-//! [`RtCtx::send_tracked`], serve them with [`RtCtx::serve_reply`], let
-//! the runtime deliver `on_reply` / `on_give_up`, and replay an adopted
-//! shard in `on_adopt`. Either way, wrap it in [`RankRuntime::new`] and
+//! `Req`/`Rep` payload pair for tracked requests (again `Infallible` for
+//! none), drive requests with [`RtCtx::send_tracked`], serve them with
+//! [`RtCtx::serve_reply`], let the runtime deliver `on_reply` /
+//! `on_give_up`, and replay an adopted shard in `on_adopt`. No hook has a
+//! default body: a hook whose payload type is uninhabited is
+//! `match payload {}`, which proves it cannot be called. Either way, wrap it in [`RankRuntime::new`] and
 //! add an [`crate::driver::Algorithm`] arm in the driver.
 
 mod svc;
@@ -136,21 +138,20 @@ pub trait CoordinationStrategy {
     fn on_start(&mut self, rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>);
 
     /// A strategy message (or self-timer) arrived. The strategy owns the
-    /// idle classification of its own events.
+    /// idle classification of its own events. A strategy with no
+    /// messages declares `App` uninhabited and answers `match msg {}`.
     fn on_app(
         &mut self,
         rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>,
         src: usize,
         msg: Self::App,
-    ) {
-        let _ = (rt, src, msg);
-        // gnb-lint: allow(panic-path, reason = "default for strategies that declare no app messages; the protocol-contract pass forces overrides wherever such traffic is actually issued")
-        unreachable!("strategy declared no app messages");
-    }
+    );
 
     /// A tracked request arrived at this rank (owner side). Classify the
     /// idle gap, declare race keys for the state read, then answer with
-    /// [`RtCtx::serve_reply`].
+    /// [`RtCtx::serve_reply`]. A strategy that issues no tracked requests
+    /// declares `Req` and `Rep` uninhabited and answers
+    /// `match payload {}` here and in the two hooks below.
     fn on_request(
         &mut self,
         rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>,
@@ -158,11 +159,7 @@ pub trait CoordinationStrategy {
         key: u64,
         attempt: u32,
         payload: Self::Req,
-    ) {
-        let _ = (rt, src, key, attempt, payload);
-        // gnb-lint: allow(panic-path, reason = "default for strategies that issue no tracked requests; the protocol-contract pass forces overrides wherever send_tracked appears")
-        unreachable!("strategy declared no tracked requests");
-    }
+    );
 
     /// The (first) reply for tracked request `key` arrived. The runtime
     /// has already deduplicated, classified the idle gap as
@@ -172,22 +169,19 @@ pub trait CoordinationStrategy {
         rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>,
         key: u64,
         payload: Self::Rep,
-    ) {
-        let _ = (rt, key, payload);
-        // gnb-lint: allow(panic-path, reason = "default for strategies that issue no tracked requests; the protocol-contract pass forces overrides wherever send_tracked appears")
-        unreachable!("strategy declared no tracked requests");
-    }
+    );
 
-    /// Tracked request `key` exhausted its retry budget and was
-    /// abandoned. The runtime has recorded the [`RetryFailure`]; the
-    /// strategy must unwind its own accounting so the rank still reaches
-    /// its exit barrier (the driver turns the failure into a structured
-    /// error).
-    fn on_give_up(&mut self, rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>, key: u64) {
-        let _ = (rt, key);
-        // gnb-lint: allow(panic-path, reason = "default for strategies that issue no tracked requests; the protocol-contract pass forces overrides wherever send_tracked appears")
-        unreachable!("strategy declared no tracked requests");
-    }
+    /// Tracked request `key` (issued with `payload`) exhausted its retry
+    /// budget and was abandoned. The runtime has recorded the
+    /// [`RetryFailure`]; the strategy must unwind its own accounting so
+    /// the rank still reaches its exit barrier (the driver turns the
+    /// failure into a structured error).
+    fn on_give_up(
+        &mut self,
+        rt: &mut RtCtx<'_, '_, Self::App, Self::Req, Self::Rep>,
+        key: u64,
+        payload: Self::Req,
+    );
 
     /// This rank adopts crashed rank `dead`'s shard. The runtime has
     /// booked the idle gap as [`TimeCategory::Recovery`], counted the
@@ -498,11 +492,14 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         // resolved by queue tie-break alone — exactly what the race
         // detector exists to flag.
         self.ctx.race_write(key);
+        #[expect(
+            clippy::expect_used,
+            reason = "pending entries outlive their wire traffic by construction: the engine only routes replies the send path registered"
+        )]
         let entry = self
             .svc
             .pending
             .get_mut(&key)
-            // gnb-lint: allow(panic-path, reason = "pending entries outlive their wire traffic by construction: the engine only routes replies the send path registered")
             .expect("reply for a request this rank never issued");
         if entry.arrived {
             // Duplicate: a wire-duplicated copy or a retry that raced the
@@ -523,9 +520,10 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
     }
 
     /// Timeout dispatch: stale-timer detection, retry re-issue with
-    /// backoff, budget-exhaustion bookkeeping. Returns `true` when the
-    /// request was abandoned and the strategy must unwind (`on_give_up`).
-    fn expire(&mut self, key: u64, attempt: u32) -> bool {
+    /// backoff, budget-exhaustion bookkeeping. Returns the request's
+    /// payload when it was abandoned and the strategy must unwind
+    /// (`on_give_up`).
+    fn expire(&mut self, key: u64, attempt: u32) -> Option<Q> {
         // Idle ended by a retry timer is time lost to (suspected) faults,
         // whatever the timer's fate below.
         self.ctx.classify_idle(TimeCategory::Recovery);
@@ -533,17 +531,20 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         // state a reply writes: a timer firing at the very instant the
         // reply arrives is tie-break-resolved.
         self.ctx.race_write(key);
+        #[expect(
+            clippy::expect_used,
+            reason = "pending entries outlive their timers by construction: every armed timer key was registered by the send path"
+        )]
         let entry = self
             .svc
             .pending
             .get_mut(&key)
-            // gnb-lint: allow(panic-path, reason = "pending entries outlive their timers by construction: every armed timer key was registered by the send path")
             .expect("timeout for a request this rank never issued");
         if entry.arrived || attempt != entry.attempt {
             // Stale timer: the reply arrived (or a newer attempt owns the
             // request). No-op, and crucially do NOT re-arm — completed
             // requests must not keep timers circulating in the queue.
-            return false;
+            return None;
         }
         if attempt >= self.svc.cfg.max_retries {
             let dst = entry.dst;
@@ -571,7 +572,7 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
                         let prev = self.ctx.ledger_scope(Some(TimeCategory::Recovery));
                         self.issue(key, 0, succ, bytes, payload);
                         self.ctx.ledger_scope(prev);
-                        return false;
+                        return None;
                     }
                     CrashResponse::Degrade => {
                         // Graceful degradation: abandon the request without
@@ -579,7 +580,7 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
                         // and the driver reports coverage loss instead.
                         entry.arrived = true;
                         self.ctx.obs_instant(InstantKind::GiveUp, key);
-                        return true;
+                        return Some(entry.payload.clone());
                     }
                 }
             }
@@ -589,9 +590,10 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
             // undone, which the driver turns into
             // RunError::RetryBudgetExhausted.
             entry.arrived = true;
+            let payload = entry.payload.clone();
             self.svc.record_failure(key, attempt + 1, dst, false);
             self.ctx.obs_instant(InstantKind::GiveUp, key);
-            return true;
+            return Some(payload);
         }
         // Reply presumed lost: re-issue with the next attempt number and
         // arm a fresh (backed-off) timer for it. The whole path — the
@@ -605,7 +607,7 @@ impl<'c, 'e, A: Clone, Q: Clone, P: Clone> RtCtx<'c, 'e, A, Q, P> {
         let prev = self.ctx.ledger_scope(Some(TimeCategory::Recovery));
         self.issue(key, next, dst, bytes, payload);
         self.ctx.ledger_scope(prev);
-        false
+        None
     }
 }
 
@@ -696,8 +698,8 @@ impl<S: CoordinationStrategy> Program<StrategyMsg<S>> for RankRuntime<S> {
                 }
             }
             RtMsg::Timeout { key, attempt } => {
-                if rt.expire(key, attempt) {
-                    self.strategy.on_give_up(&mut rt, key);
+                if let Some(payload) = rt.expire(key, attempt) {
+                    self.strategy.on_give_up(&mut rt, key, payload);
                 }
             }
             RtMsg::Adopt { dead } => {
@@ -733,15 +735,38 @@ mod tests {
         adoptions: Vec<(SimTime, usize, bool, usize)>,
     }
 
-    type PCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, (), ()>;
+    type PCtx<'c, 'e> = RtCtx<'c, 'e, Infallible, Infallible, Infallible>;
 
     impl CoordinationStrategy for Probe {
         type App = Infallible;
-        type Req = ();
-        type Rep = ();
+        type Req = Infallible;
+        type Rep = Infallible;
 
         fn on_start(&mut self, rt: &mut PCtx<'_, '_>) {
             self.pending_at_start = rt.adoptions_pending();
+        }
+
+        fn on_app(&mut self, _rt: &mut PCtx<'_, '_>, _src: usize, msg: Infallible) {
+            match msg {}
+        }
+
+        fn on_request(
+            &mut self,
+            _rt: &mut PCtx<'_, '_>,
+            _src: usize,
+            _key: u64,
+            _attempt: u32,
+            payload: Infallible,
+        ) {
+            match payload {}
+        }
+
+        fn on_reply(&mut self, _rt: &mut PCtx<'_, '_>, _key: u64, payload: Infallible) {
+            match payload {}
+        }
+
+        fn on_give_up(&mut self, _rt: &mut PCtx<'_, '_>, _key: u64, payload: Infallible) {
+            match payload {}
         }
 
         fn on_adopt(&mut self, rt: &mut PCtx<'_, '_>, dead: usize, ckpt: Option<Vec<u8>>) {

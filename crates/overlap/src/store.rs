@@ -130,7 +130,10 @@ impl TaskStore for FlatTaskStore {
 pub struct PointerTaskStore {
     // The Box per task is the point: Fig. 13 measures the cost of
     // pointer-chasing layouts, so every node is a separate allocation.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "the Box per task is the layout Fig. 13 measures"
+    )]
     groups: std::collections::BTreeMap<u32, Vec<Box<Candidate>>>,
 }
 

@@ -148,7 +148,7 @@ proptest! {
     )) {
         // Dedup group keys (pointer store merges; flat keeps separate) by
         // making keys unique.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let groups: Vec<(u32, Vec<Candidate>)> = groups
             .into_iter()
             .filter(|(k, _)| seen.insert(*k))
@@ -169,7 +169,7 @@ proptest! {
             .collect();
         let flat = FlatTaskStore::from_groups(groups.clone());
         let ptr = PointerTaskStore::from_groups(groups.clone());
-        #[allow(clippy::type_complexity)]
+        #[expect(clippy::type_complexity, reason = "a test-local adapter over both stores' traversal callbacks")]
         let collect = |s: &dyn Fn(&mut dyn FnMut(u32, &Candidate))| {
             let mut out = Vec::new();
             s(&mut |k, c| out.push((k, *c)));

@@ -21,6 +21,7 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Little-endian byte sink for checkpoint serialisation.
 #[derive(Debug, Default)]
@@ -98,22 +99,33 @@ impl<'a> CkptReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> &'a [u8] {
-        let end = self.pos + n;
-        assert!(
-            end <= self.buf.len(),
-            "checkpoint truncated: need {n} bytes at offset {}, have {}",
-            self.pos,
-            self.buf.len() - self.pos
-        );
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        #[expect(
+            clippy::panic,
+            reason = "truncated input panics by this reader's contract (see the type's docs)"
+        )]
+        let Some(s) = rest.get(..n) else {
+            panic!(
+                "checkpoint truncated: need {n} bytes at offset {}, have {}",
+                self.pos,
+                rest.len()
+            )
+        };
+        self.pos += n;
         s
+    }
+
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N));
+        out
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> u8 {
-        // gnb-lint: allow(panic-path, reason = "take() just asserted end <= buf.len() with a truncation diagnostic, so the one-byte slice is non-empty")
-        self.take(1)[0]
+        let [b] = self.array();
+        b
     }
 
     /// Reads a bool (one byte).
@@ -123,14 +135,12 @@ impl<'a> CkptReader<'a> {
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> u32 {
-        // gnb-lint: allow(panic-path, reason = "take(4) either asserts with a truncation diagnostic or returns exactly 4 bytes, so the array conversion cannot fail")
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+        u32::from_le_bytes(self.array())
     }
 
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> u64 {
-        // gnb-lint: allow(panic-path, reason = "take(8) either asserts with a truncation diagnostic or returns exactly 8 bytes, so the array conversion cannot fail")
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+        u64::from_le_bytes(self.array())
     }
 
     /// Reads a usize (stored as u64).
@@ -276,7 +286,7 @@ pub struct CkptRecord {
 /// an older one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CkptStore {
-    latest: Vec<Option<CkptRecord>>,
+    latest: BTreeMap<usize, CkptRecord>,
     /// Total checkpoint writes accepted.
     pub writes: u64,
     /// Total serialised bytes across all writes (including superseded
@@ -285,13 +295,9 @@ pub struct CkptStore {
 }
 
 impl CkptStore {
-    /// An empty store for `nranks` ranks.
-    pub fn new(nranks: usize) -> CkptStore {
-        CkptStore {
-            latest: vec![None; nranks],
-            writes: 0,
-            bytes_written: 0,
-        }
+    /// An empty store.
+    pub fn new() -> CkptStore {
+        CkptStore::default()
     }
 
     /// Accepts a checkpoint, superseding any earlier epoch from `rank`.
@@ -299,8 +305,7 @@ impl CkptStore {
     /// # Panics
     /// Panics if the epoch does not increase (checkpoints are monotone).
     pub fn record(&mut self, rank: usize, epoch: u64, at: SimTime, bytes: Vec<u8>) {
-        // gnb-lint: allow(panic-path, reason = "rank ids come from the engine; latest has one slot per rank by construction")
-        if let Some(prev) = &self.latest[rank] {
+        if let Some(prev) = self.latest.get(&rank) {
             assert!(
                 epoch > prev.epoch,
                 "rank {rank} checkpoint epoch went backwards ({} -> {epoch})",
@@ -309,19 +314,20 @@ impl CkptStore {
         }
         self.writes += 1;
         self.bytes_written += bytes.len() as u64;
-        // gnb-lint: allow(panic-path, reason = "rank ids come from the engine; latest has one slot per rank by construction")
-        self.latest[rank] = Some(CkptRecord {
+        self.latest.insert(
             rank,
-            epoch,
-            at,
-            bytes,
-        });
+            CkptRecord {
+                rank,
+                epoch,
+                at,
+                bytes,
+            },
+        );
     }
 
     /// The most recent checkpoint from `rank`, if it ever took one.
     pub fn latest(&self, rank: usize) -> Option<&CkptRecord> {
-        // gnb-lint: allow(panic-path, reason = "rank ids come from the engine; latest has one slot per rank by construction")
-        self.latest[rank].as_ref()
+        self.latest.get(&rank)
     }
 }
 
@@ -404,7 +410,7 @@ mod tests {
 
     #[test]
     fn store_keeps_latest_epoch_only() {
-        let mut s = CkptStore::new(2);
+        let mut s = CkptStore::new();
         assert!(s.latest(1).is_none());
         s.record(1, 0, SimTime::from_ms(1), vec![1, 2]);
         s.record(1, 1, SimTime::from_ms(2), vec![3]);
@@ -418,7 +424,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "epoch went backwards")]
     fn store_rejects_stale_epoch() {
-        let mut s = CkptStore::new(1);
+        let mut s = CkptStore::new();
         s.record(0, 3, SimTime::from_ms(1), vec![]);
         s.record(0, 3, SimTime::from_ms(2), vec![]);
     }

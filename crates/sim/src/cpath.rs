@@ -26,6 +26,16 @@
 //! over holes would attribute time to the wrong edges with no indication
 //! anything was missing.
 
+// The walker indexes nodes, spans and edges by ids the recorder minted
+// (and `Obs::from_text` validated); it runs after the simulation, off
+// every dispatch and recovery path.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::unreachable,
+    reason = "post-run analysis over validated recorder ids"
+)]
+
 use crate::export::CATEGORY_NAMES;
 use crate::obs::{EdgeKind, Obs, NO_NODE};
 use crate::time::SimTime;
@@ -133,7 +143,11 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// Sum of all per-category totals; equals `end_time` by construction.
     pub fn total_ns(&self) -> u64 {
-        self.totals_ns.iter().fold(0, |a, &b| a.saturating_add(b))
+        let mut total = 0u64;
+        for &ns in &self.totals_ns {
+            total = total.saturating_add(ns);
+        }
+        total
     }
 
     /// Renders the per-category attribution table (deterministic; permille

@@ -28,6 +28,7 @@ use crate::membership::{self, Membership};
 use crate::net::{NetParams, Network};
 use crate::obs::{EdgeKind, InstantKind, MetricId, Obs, ObsConfig, GLOBAL_RANK};
 use crate::race::RaceDetector;
+use crate::rank::{RankId, RankVec, Ranks};
 use crate::stats::Summary;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -54,6 +55,33 @@ pub enum TimeCategory {
 /// Number of ledger categories.
 pub const CATEGORIES: usize = 5;
 
+impl TimeCategory {
+    /// This category's entry of a per-category row. The row has one
+    /// entry per variant, so the lookup cannot miss.
+    pub(crate) fn of<T>(self, row: &[T; CATEGORIES]) -> &T {
+        let [compute, overhead, comm, sync, recovery] = row;
+        match self {
+            TimeCategory::Compute => compute,
+            TimeCategory::Overhead => overhead,
+            TimeCategory::Comm => comm,
+            TimeCategory::Sync => sync,
+            TimeCategory::Recovery => recovery,
+        }
+    }
+
+    /// Mutable [`TimeCategory::of`].
+    pub(crate) fn of_mut<T>(self, row: &mut [T; CATEGORIES]) -> &mut T {
+        let [compute, overhead, comm, sync, recovery] = row;
+        match self {
+            TimeCategory::Compute => compute,
+            TimeCategory::Overhead => overhead,
+            TimeCategory::Comm => comm,
+            TimeCategory::Sync => sync,
+            TimeCategory::Recovery => recovery,
+        }
+    }
+}
+
 /// An SPMD rank program.
 pub trait Program<M> {
     /// Called once at virtual time zero.
@@ -74,13 +102,13 @@ struct BarrierState {
 struct EngineCore<M> {
     queue: EventQueue<M>,
     net: Network,
-    nranks: usize,
-    busy_until: Vec<SimTime>,
+    ranks: Ranks,
+    busy_until: RankVec<SimTime>,
     barriers: BTreeMap<u64, BarrierState>,
-    ledger: Vec<[SimTime; CATEGORIES]>,
-    unclassified_idle: Vec<SimTime>,
+    ledger: RankVec<[SimTime; CATEGORIES]>,
+    unclassified_idle: RankVec<SimTime>,
     mem: MemTracker,
-    finish: Vec<SimTime>,
+    finish: RankVec<SimTime>,
     events_processed: u64,
     /// Busy-rank and stall deferrals (one per `requeue`).
     deferrals: u64,
@@ -89,7 +117,7 @@ struct EngineCore<M> {
     /// Global send sequence number (drives per-message fault decisions).
     msg_seq: u64,
     /// Per-destination send counters (drive scheduled drops).
-    dst_counts: Vec<u64>,
+    dst_counts: RankVec<u64>,
     /// Injected-fault counters.
     fault_stats: FaultStats,
     /// Crash-stop liveness flags and pending crash/rebirth marks (see
@@ -109,17 +137,16 @@ impl<M> EngineCore<M> {
 
     /// See [`membership::required_ranks`].
     fn required_ranks(&self, t: SimTime) -> usize {
-        membership::required_ranks(self.fault.as_ref(), self.nranks, t)
+        membership::required_ranks(self.fault.as_ref(), self.ranks.count(), t)
     }
 
     /// Releases barrier `id` (already removed from the pending map):
     /// pushes [`EventPayload::BarrierDone`] to every rank still in the
     /// group at `max(entry times) + α·⌈log₂ P⌉`.
     fn push_barrier_done(&mut self, id: u64, max_entry: SimTime, push_time: SimTime) {
-        let nranks = self.nranks;
-        let release = max_entry + barrier_time(self.net.params.alpha_ns, nranks);
+        let release = max_entry + barrier_time(self.net.params.alpha_ns, self.ranks.count());
         let crashes = membership::crashes_scheduled(self.fault.as_ref());
-        for r in 0..nranks {
+        for r in 0..self.ranks.count() {
             if crashes
                 && self
                     .fault
@@ -145,8 +172,18 @@ impl<M> EngineCore<M> {
     where
         M: Clone,
     {
+        #[expect(
+            clippy::panic,
+            reason = "Ctx::send's documented precondition; a send past the last rank is a program bug"
+        )]
+        let Some(d) = self.ranks.id(dst) else {
+            panic!(
+                "rank {rank} sent to rank {dst}, but the run has {} ranks",
+                self.ranks.count()
+            )
+        };
         self.msg_seq += 1;
-        self.dst_counts[dst] += 1;
+        self.dst_counts[d] += 1;
         if let Some(obs) = &mut self.obs {
             obs.counter_add(MetricId::BytesSent, GLOBAL_RANK, now, bytes);
             obs.counter_add(MetricId::MsgsSent, GLOBAL_RANK, now, 1);
@@ -154,7 +191,7 @@ impl<M> EngineCore<M> {
         let fate = self
             .fault
             .as_ref()
-            .map(|f| f.message_fate(self.msg_seq, dst, self.dst_counts[dst]))
+            .map(|f| f.message_fate(self.msg_seq, dst, self.dst_counts[d]))
             .unwrap_or_default();
         if fate.dropped {
             // Lost on the wire: the source NIC was still occupied.
@@ -220,7 +257,7 @@ impl<M> EngineCore<M> {
     /// Executes one (un-guarded) [`Ctx::barrier_enter`] against the global
     /// barrier map.
     fn exec_barrier_enter(&mut self, now: SimTime, id: u64) {
-        let nranks = self.nranks;
+        let nranks = self.ranks.count();
         // Under a crash plan a barrier only waits for ranks whose crash
         // has not fired yet; without one this is exactly `nranks`.
         let required = self.required_ranks(now);
@@ -252,8 +289,9 @@ impl<M> EngineCore<M> {
         let ids: Vec<u64> = self.barriers.keys().copied().collect();
         let required = self.required_ranks(time);
         for id in ids {
-            // gnb-lint: allow(panic-path, reason = "id was collected from barriers.keys() in this same iteration and nothing removes it in between")
-            let st = &self.barriers[&id];
+            let Some(st) = self.barriers.get(&id) else {
+                continue;
+            };
             if st.entered >= required {
                 let max_entry = st.max_entry;
                 self.barriers.remove(&id);
@@ -266,7 +304,7 @@ impl<M> EngineCore<M> {
 /// Handler context: the engine API available to a running rank.
 pub struct Ctx<'a, M> {
     core: &'a mut EngineCore<M>,
-    rank: usize,
+    rank: RankId,
     now: SimTime,
     /// Idle gap between the previous handler's end and this handler's
     /// start, awaiting classification.
@@ -285,12 +323,12 @@ impl<M> Ctx<'_, M> {
 
     /// This rank's id.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.rank.get()
     }
 
     /// Total number of ranks.
     pub fn nranks(&self) -> usize {
-        self.core.nranks
+        self.core.ranks.count()
     }
 
     /// Consumes `dt` of CPU, booked under `cat`.
@@ -303,24 +341,27 @@ impl<M> Ctx<'_, M> {
         let cat = self.scope.unwrap_or(cat);
         let start = self.now;
         self.now += dt;
-        // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-        self.core.ledger[self.rank][cat as usize] += dt;
+        *cat.of_mut(&mut self.core.ledger[self.rank]) += dt;
         if let Some(obs) = &mut self.core.obs {
-            obs.on_advance(self.rank, start, self.now, cat);
+            obs.on_advance(self.rank.get(), start, self.now, cat);
         }
         let cpu_bound = matches!(cat, TimeCategory::Compute | TimeCategory::Overhead);
         if cpu_bound && dt > SimTime::ZERO {
             let fault = self.core.fault.as_ref();
-            let factor = fault.map_or(1.0, |f| f.compute_factor(self.rank, start));
+            let factor = fault.map_or(1.0, |f| f.compute_factor(self.rank.get(), start));
             if factor > 1.0 {
                 let excess = SimTime::from_secs_f64(dt.as_secs_f64() * (factor - 1.0));
                 let slow_start = self.now;
                 self.now += excess;
-                // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-                self.core.ledger[self.rank][TimeCategory::Recovery as usize] += excess;
+                *TimeCategory::Recovery.of_mut(&mut self.core.ledger[self.rank]) += excess;
                 self.core.fault_stats.straggler_excess += excess;
                 if let Some(obs) = &mut self.core.obs {
-                    obs.on_advance(self.rank, slow_start, self.now, TimeCategory::Recovery);
+                    obs.on_advance(
+                        self.rank.get(),
+                        slow_start,
+                        self.now,
+                        TimeCategory::Recovery,
+                    );
                 }
             }
         }
@@ -346,8 +387,7 @@ impl<M> Ctx<'_, M> {
     /// per handler; later calls book zero.
     pub fn classify_idle(&mut self, cat: TimeCategory) {
         let dt = std::mem::take(&mut self.idle_pending);
-        // gnb-lint: allow(panic-path, reason = "ledger is [nranks][ncats]; rank < nranks by construction and the category index is an enum cast")
-        self.core.ledger[self.rank][cat as usize] += dt;
+        *cat.of_mut(&mut self.core.ledger[self.rank]) += dt;
     }
 
     /// The as-yet-unclassified idle gap for this handler.
@@ -361,11 +401,15 @@ impl<M> Ctx<'_, M> {
     /// Under a [`FaultPlan`] the message may be dropped (the sender still
     /// pays TX injection — the loss happens on the wire), duplicated (a
     /// retransmission copy arrives separately) or delayed.
+    ///
+    /// # Panics
+    /// Panics if `dst` is not a rank of this run.
     pub fn send(&mut self, dst: usize, bytes: u64, msg: M)
     where
         M: Clone,
     {
-        self.core.exec_send(self.rank, self.now, dst, bytes, msg);
+        self.core
+            .exec_send(self.rank.get(), self.now, dst, bytes, msg);
     }
 
     /// Sends `msg` to `dst` (through the network model, so subject to any
@@ -399,11 +443,11 @@ impl<M> Ctx<'_, M> {
         // The fault-injection contract keeps self-timers out of the
         // *message* fault plan, but a crash is not a message fault: a
         // timer dies with the incarnation that armed it.
-        if self.core.crash_dooms(self.rank, self.rank, self.now, sched) {
+        let src = self.rank.get();
+        if self.core.crash_dooms(src, src, self.now, sched) {
             self.core.fault_stats.crash_events_dropped += 1;
             return;
         }
-        let src = self.rank;
         let seq = self
             .core
             .queue
@@ -423,7 +467,7 @@ impl<M> Ctx<'_, M> {
         // A handler dispatched before the rank's crash can reach this call
         // at a virtual `now` past the crash: the rank died mid-handler and
         // never made it to the barrier, so the entry does not happen.
-        if membership::crashed_by(self.core.fault.as_ref(), self.rank, self.now) {
+        if membership::crashed_by(self.core.fault.as_ref(), self.rank.get(), self.now) {
             return;
         }
         self.core.exec_barrier_enter(self.now, id);
@@ -444,7 +488,7 @@ impl<M> Ctx<'_, M> {
     fn sample_mem(&mut self) {
         if let Some(obs) = &mut self.core.obs {
             let cur = self.core.mem.current(self.rank);
-            obs.gauge_set(MetricId::MemCurrent, self.rank as u32, self.now, cur);
+            obs.gauge_set(MetricId::MemCurrent, self.rank.get() as u32, self.now, cur);
         }
     }
 
@@ -478,7 +522,7 @@ impl<M> Ctx<'_, M> {
     /// the engine knowing their protocols.
     pub fn obs_instant(&mut self, kind: InstantKind, key: u64) {
         if let Some(obs) = &mut self.core.obs {
-            obs.instant(self.rank, self.now, kind, key);
+            obs.instant(self.rank.get(), self.now, kind, key);
         }
     }
 }
@@ -521,11 +565,7 @@ pub struct SimReport {
 impl SimReport {
     /// Summary of one ledger category across ranks, in seconds.
     pub fn category_summary(&self, cat: TimeCategory) -> Summary {
-        Summary::of(
-            self.ranks
-                .iter()
-                .map(|r| r.ledger[cat as usize].as_secs_f64()),
-        )
+        Summary::of(self.ranks.iter().map(|r| cat.of(&r.ledger).as_secs_f64()))
     }
 
     /// Mean seconds per rank of one category.
@@ -548,24 +588,25 @@ impl<M> Engine<M> {
     /// Creates an engine for `nranks` ranks over `net` parameters.
     pub fn new(nranks: usize, net: NetParams) -> Engine<M> {
         assert!(nranks >= 1, "need at least one rank");
+        let ranks = Ranks::new(nranks);
         Engine {
             core: EngineCore {
                 queue: EventQueue::new(),
                 net: Network::new(net, nranks),
-                nranks,
-                busy_until: vec![SimTime::ZERO; nranks],
+                ranks,
+                busy_until: ranks.vec(SimTime::ZERO),
                 barriers: BTreeMap::new(),
-                ledger: vec![[SimTime::ZERO; CATEGORIES]; nranks],
-                unclassified_idle: vec![SimTime::ZERO; nranks],
-                mem: MemTracker::new(nranks),
-                finish: vec![SimTime::ZERO; nranks],
+                ledger: ranks.vec([SimTime::ZERO; CATEGORIES]),
+                unclassified_idle: ranks.vec(SimTime::ZERO),
+                mem: MemTracker::new(ranks),
+                finish: ranks.vec(SimTime::ZERO),
                 events_processed: 0,
                 deferrals: 0,
                 fault: None,
                 msg_seq: 0,
-                dst_counts: vec![0; nranks],
+                dst_counts: ranks.vec(0),
                 fault_stats: FaultStats::default(),
-                membership: Membership::new(nranks),
+                membership: Membership::new(ranks),
                 races: None,
                 obs: None,
             },
@@ -577,7 +618,7 @@ impl<M> Engine<M> {
     /// events, and virtual-time metric series. Recording never perturbs
     /// the simulation: the rest of the report is bit-identical.
     pub fn with_obs(mut self, cfg: ObsConfig) -> Engine<M> {
-        self.core.obs = Some(Obs::new(cfg, self.core.nranks));
+        self.core.obs = Some(Obs::new(cfg, self.core.ranks.count()));
         self
     }
 
@@ -618,12 +659,14 @@ impl<M> Engine<M> {
     /// Runs `programs` (one per rank) to quiescence and returns the report.
     ///
     /// # Panics
-    /// Panics if `programs.len() != nranks`, or if a barrier is left
-    /// incomplete at quiescence (a deadlocked program).
+    /// Panics if `programs.len() != nranks`, if a scheduled crash names a
+    /// rank outside the run, or if a barrier is left incomplete at
+    /// quiescence (a deadlocked program).
     pub fn run<P: Program<M>>(mut self, programs: &mut [P]) -> SimReport {
+        let ranks = self.core.ranks;
         assert_eq!(
             programs.len(),
-            self.core.nranks,
+            ranks.count(),
             "one program per rank required"
         );
         // Schedule crash/rebirth marks first, so a crash at the same
@@ -634,11 +677,16 @@ impl<M> Engine<M> {
         // crash-free run pushes nothing here.
         if let Some(plan) = membership::crash_plan(self.core.fault.as_ref()) {
             let crashes = plan.crashes.clone();
+            assert!(
+                crashes.iter().all(|c| ranks.id(c.rank).is_some()),
+                "a scheduled crash names a rank outside the run's {} ranks",
+                ranks.count()
+            );
             self.core
                 .membership
                 .schedule(&mut self.core.queue, &crashes);
         }
-        for r in 0..self.core.nranks {
+        for r in 0..ranks.count() {
             let seq = self.core.queue.push(SimTime::ZERO, r, EventPayload::Start);
             if let Some(obs) = &mut self.core.obs {
                 obs.on_push(seq, EdgeKind::Start, SimTime::ZERO, SimTime::ZERO);
@@ -658,6 +706,7 @@ impl<M> Engine<M> {
         let end_time = self
             .core
             .finish
+            .as_slice()
             .iter()
             .copied()
             .max()
@@ -670,13 +719,11 @@ impl<M> Engine<M> {
             faults: self.core.fault_stats,
             races: self.core.races.take(),
             obs: self.core.obs.take(),
-            ranks: (0..self.core.nranks)
+            ranks: ranks
+                .iter()
                 .map(|r| RankReport {
-                    // gnb-lint: allow(panic-path, reason = "the report loop iterates 0..nranks over vectors sized nranks at construction")
                     finish: self.core.finish[r],
-                    // gnb-lint: allow(panic-path, reason = "the report loop iterates 0..nranks over vectors sized nranks at construction")
                     ledger: self.core.ledger[r],
-                    // gnb-lint: allow(panic-path, reason = "the report loop iterates 0..nranks over vectors sized nranks at construction")
                     unclassified_idle: self.core.unclassified_idle[r],
                     mem_peak: self.core.mem.peak(r),
                 })
@@ -691,7 +738,14 @@ impl<M> Engine<M> {
 /// membership, liveness, CPU-queueing and stall checks, then dispatch the
 /// handler.
 fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: QueuedEvent) {
-    let r = ev.dst;
+    // Every event's rank was checked on its way in: `run` checks the
+    // crash ranks and the program count, `Ctx::send` its destination, and
+    // the engine's own pushes iterate the run's ranks. So the lookups
+    // below cannot miss; a miss would drop the event.
+    let (Some(r), Some(program)) = (core.ranks.id(ev.dst), programs.get_mut(ev.dst)) else {
+        let _ = core.queue.resolve(ev);
+        return;
+    };
     // Crash/rebirth marks run ahead of every liveness/busy check:
     // a crash is not deferred by a busy rank.
     if let Some(mark) = core.membership.take_mark(ev.seq) {
@@ -699,32 +753,27 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
         if mark.rebirth {
             // The reborn incarnation starts idle: it serves new
             // traffic but nothing survives from before the crash.
-            // gnb-lint: allow(panic-path, reason = "crash marks record rank ids validated when the crash plan was installed; per-rank vectors have nranks entries")
-            core.membership.dead[mark.rank] = false;
-            // gnb-lint: allow(panic-path, reason = "crash marks record rank ids validated when the crash plan was installed; per-rank vectors have nranks entries")
-            core.busy_until[mark.rank] = core.busy_until[mark.rank].max(ev.time);
+            core.membership.dead[r] = false;
+            core.busy_until[r] = core.busy_until[r].max(ev.time);
         } else {
-            // gnb-lint: allow(panic-path, reason = "crash marks record rank ids validated when the crash plan was installed; per-rank vectors have nranks entries")
-            core.membership.dead[mark.rank] = true;
+            core.membership.dead[r] = true;
             core.exec_death(mark.rank, ev.time);
         }
         return;
     }
     // Events addressed to a dead rank are discarded, not dispatched.
-    // gnb-lint: allow(panic-path, reason = "every event's dst was bounds-checked against nranks when it was pushed")
     if core.membership.dead[r] {
         let _ = core.queue.resolve(ev);
         core.fault_stats.crash_events_dropped += 1;
         return;
     }
-    // gnb-lint: allow(panic-path, reason = "every event's dst was bounds-checked against nranks when it was pushed")
     let busy = core.busy_until[r];
     if busy > ev.time {
         // A deferral that would carry the event across the rank's
         // own crash (into a later incarnation) kills it instead:
         // run-to-completion ends at the handler boundary, and the
         // next incarnation never sees its predecessor's backlog.
-        if core.crash_dooms(r, r, ev.time, busy) {
+        if core.crash_dooms(ev.dst, ev.dst, ev.time, busy) {
             let _ = core.queue.resolve(ev);
             core.fault_stats.crash_events_dropped += 1;
             return;
@@ -751,8 +800,8 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
         let obs = &mut core.obs;
         core.deferrals += core.queue.redefer_front(
             |dst, t| {
-                let busy = *busy_until.get(dst)?;
-                let alive = dead.get(dst) == Some(&false)
+                let busy = *busy_until.lookup(dst)?;
+                let alive = dead.lookup(dst) == Some(&false)
                     && !membership::crash_dooms(fault, dst, dst, t, busy);
                 alive.then_some(busy)
             },
@@ -772,16 +821,13 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
     // event at the thaw.
     if let Some(f) = &core.fault {
         let at = ev.time.max(busy);
-        if let Some(thaw) = f.stall_until(r, at) {
+        if let Some(thaw) = f.stall_until(ev.dst, at) {
             if thaw > at {
                 let frozen = thaw - at;
-                // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
-                core.ledger[r][TimeCategory::Recovery as usize] += frozen;
+                *TimeCategory::Recovery.of_mut(&mut core.ledger[r]) += frozen;
                 core.fault_stats.stall_events += 1;
                 core.fault_stats.stall_time += frozen;
-                // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
                 core.busy_until[r] = thaw;
-                // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
                 core.finish[r] = core.finish[r].max(thaw);
                 let new_seq = core.queue.requeue(ev, thaw);
                 core.deferrals += 1;
@@ -789,8 +835,8 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
                     // The freeze happens outside any handler: the
                     // span lands on no node, plus a stall interval
                     // for the critical-path walker.
-                    obs.on_advance(r, at, thaw, TimeCategory::Recovery);
-                    obs.on_stall(r, at, thaw);
+                    obs.on_advance(ev.dst, at, thaw, TimeCategory::Recovery);
+                    obs.on_stall(ev.dst, at, thaw);
                     obs.on_requeue(ev.seq, new_seq);
                 }
                 return;
@@ -799,10 +845,10 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
     }
     let idle = ev.time.saturating_sub(busy);
     if let Some(rd) = &mut core.races {
-        rd.begin_event(r, ev.time, ev.seq);
+        rd.begin_event(ev.dst, ev.time, ev.seq);
     }
     if let Some(obs) = &mut core.obs {
-        obs.begin_dispatch(r, ev.time, ev.seq, core.queue.len());
+        obs.begin_dispatch(ev.dst, ev.time, ev.seq, core.queue.len());
     }
     let payload = core.queue.resolve(ev);
     let mut ctx = Ctx {
@@ -813,22 +859,16 @@ fn step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], ev: Queu
         scope: None,
     };
     match payload {
-        // gnb-lint: allow(panic-path, reason = "run() asserts programs.len() == nranks at entry; the event's dst was bounds-checked when pushed")
-        EventPayload::Start => programs[r].on_start(&mut ctx),
-        // gnb-lint: allow(panic-path, reason = "run() asserts programs.len() == nranks at entry; the event's dst was bounds-checked when pushed")
-        EventPayload::Message { src, msg } => programs[r].on_message(&mut ctx, src, msg),
-        // gnb-lint: allow(panic-path, reason = "run() asserts programs.len() == nranks at entry; the event's dst was bounds-checked when pushed")
-        EventPayload::BarrierDone { id } => programs[r].on_barrier(&mut ctx, id),
+        EventPayload::Start => program.on_start(&mut ctx),
+        EventPayload::Message { src, msg } => program.on_message(&mut ctx, src, msg),
+        EventPayload::BarrierDone { id } => program.on_barrier(&mut ctx, id),
     }
     let (end, leftover_idle) = (ctx.now, ctx.idle_pending);
-    // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
     core.unclassified_idle[r] += leftover_idle;
     if let Some(obs) = &mut core.obs {
         obs.end_dispatch(end);
     }
-    // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
     core.busy_until[r] = end;
-    // gnb-lint: allow(panic-path, reason = "per-rank vectors have nranks entries and the event's dst was bounds-checked when pushed")
     core.finish[r] = core.finish[r].max(end);
     core.events_processed += 1;
 }

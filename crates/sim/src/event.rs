@@ -443,7 +443,12 @@ impl<M> EventQueue<M> {
     pub fn push(&mut self, time: SimTime, dst: usize, payload: EventPayload<M>) -> u64 {
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some(payload);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "free holds only slot indexes push minted into slots, which never shrinks"
+                )]
+                let slot = &mut self.slots[s as usize];
+                *slot = Some(payload);
                 s
             }
             None => {
@@ -545,8 +550,9 @@ impl<M> EventQueue<M> {
     /// (see the module docs). Returns the fresh sequence number.
     pub fn requeue(&mut self, ev: QueuedEvent, time: SimTime) -> u64 {
         debug_assert!(
-            // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
-            self.slots[ev.slot as usize].is_some(),
+            self.slots
+                .get(ev.slot as usize)
+                .is_some_and(Option::is_some),
             "requeueing a resolved event"
         );
         let (seq, entry) = self.new_entry(time, ev.dst, ev.slot);
@@ -680,10 +686,14 @@ impl<M> EventQueue<M> {
 
     /// Takes a popped event's payload and recycles its slot.
     pub fn resolve(&mut self, ev: QueuedEvent) -> EventPayload<M> {
-        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
-        let p = self.slots[ev.slot as usize]
-            .take()
-            // gnb-lint: allow(panic-path, reason = "the queue hands each popped entry out exactly once; resolving twice is queue corruption and must abort deterministically")
+        #[expect(
+            clippy::expect_used,
+            reason = "a popped entry's slot was minted by push, and the queue hands each entry out once; resolving twice is queue corruption and must abort deterministically"
+        )]
+        let p = self
+            .slots
+            .get_mut(ev.slot as usize)
+            .and_then(Option::take)
             .expect("resolving an event twice");
         self.free.push(ev.slot);
         p
@@ -795,7 +805,7 @@ mod tests {
                 assert_eq!(src, 1);
                 assert_eq!(msg, "hello");
             }
-            _ => panic!("wrong payload"),
+            EventPayload::Start | EventPayload::BarrierDone { .. } => panic!("wrong payload"),
         }
     }
 

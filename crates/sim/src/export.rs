@@ -119,8 +119,13 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
             ),
         );
         events.push(e);
-        if matches!(n.kind, EdgeKind::Message | EdgeKind::Barrier) && n.cause != NO_NODE {
-            let cause_rank = obs.nodes[n.cause as usize].rank;
+        // NO_NODE indexes no node, so a root has no cause here.
+        let cause = obs
+            .nodes
+            .get(n.cause as usize)
+            .filter(|_| matches!(n.kind, EdgeKind::Message | EdgeKind::Barrier));
+        if let Some(cause) = cause {
+            let cause_rank = cause.rank;
             let mut s = String::new();
             push_event(
                 &mut s,

@@ -36,6 +36,14 @@
 //! fault-free results must be invariant under it.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
+)]
 
 pub mod ckpt;
 pub mod coll;
@@ -49,6 +57,7 @@ mod membership;
 pub mod net;
 pub mod obs;
 pub mod race;
+mod rank;
 pub mod stats;
 pub mod time;
 

@@ -11,6 +11,7 @@
 
 use crate::event::{EventPayload, EventQueue};
 use crate::fault::{CrashPlan, FaultPlan, RankCrash};
+use crate::rank::{RankVec, Ranks};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -30,7 +31,7 @@ pub(crate) struct Membership {
     /// `dead[r]` while rank `r` sits inside a scheduled death window. Only
     /// consulted when the installed plan carries crashes, so crash-free
     /// runs stay bit-identical.
-    pub(crate) dead: Vec<bool>,
+    pub(crate) dead: RankVec<bool>,
     /// Engine-internal crash/rebirth marks: queue seq → mark. Marks are
     /// intercepted before program dispatch, so the public
     /// [`EventPayload`] enum is unchanged.
@@ -38,9 +39,9 @@ pub(crate) struct Membership {
 }
 
 impl Membership {
-    pub(crate) fn new(nranks: usize) -> Membership {
+    pub(crate) fn new(ranks: Ranks) -> Membership {
         Membership {
-            dead: vec![false; nranks],
+            dead: ranks.vec(false),
             marks: BTreeMap::new(),
         }
     }

@@ -101,9 +101,9 @@ impl Network {
         if sn == dn {
             return now + SimTime::from_ns(p.intra_alpha_ns);
         }
-        let tx_start = self.tx_free[sn].max(now);
-        let tx_end = tx_start + p.wire_time(bytes);
-        self.tx_free[sn] = tx_end;
+        let tx_free = nic(&mut self.tx_free, sn);
+        let tx_end = (*tx_free).max(now) + p.wire_time(bytes);
+        *tx_free = tx_end;
         tx_end
     }
 
@@ -121,17 +121,27 @@ impl Network {
         }
         let occupancy = p.wire_time(bytes);
         // TX: wait for the source NIC, occupy it for the body.
-        let tx_start = self.tx_free[sn].max(now);
-        let tx_end = tx_start + occupancy;
-        self.tx_free[sn] = tx_end;
+        let tx_free = nic(&mut self.tx_free, sn);
+        let tx_end = (*tx_free).max(now) + occupancy;
+        *tx_free = tx_end;
         // Wire latency.
         let at_dst = tx_end + SimTime::from_ns(p.alpha_ns);
         // RX: wait for the destination NIC, occupy it for the body.
-        let rx_start = self.rx_free[dn].max(at_dst);
-        let rx_end = rx_start + occupancy;
-        self.rx_free[dn] = rx_end;
+        let rx_free = nic(&mut self.rx_free, dn);
+        let rx_end = (*rx_free).max(at_dst) + occupancy;
+        *rx_free = rx_end;
         rx_end
     }
+}
+
+/// The free-at time of `node`'s NIC channel.
+fn nic(channels: &mut [SimTime], node: usize) -> &mut SimTime {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one channel per node: node_of(rank) is below the node count for every rank of the run the network was sized for"
+    )]
+    let free = &mut channels[node];
+    free
 }
 
 #[cfg(test)]

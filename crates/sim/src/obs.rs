@@ -272,6 +272,22 @@ impl MetricSeries {
     pub fn last_value(&self) -> u64 {
         self.current
     }
+
+    /// Samples `value` at `time`: a same-time change coalesces into the
+    /// last sample, and past `max` samples the series counts drops.
+    fn push_sample(&mut self, max: usize, time: SimTime, value: u64) {
+        if let Some(last) = self.samples.last_mut() {
+            if last.0 == time {
+                last.1 = value;
+                return;
+            }
+        }
+        if self.samples.len() >= max {
+            self.dropped += 1;
+            return;
+        }
+        self.samples.push((time, value));
+    }
 }
 
 /// Capacity bounds for the collectors.
@@ -439,9 +455,10 @@ impl Obs {
 
     /// The current handler returned at virtual `end`.
     pub fn end_dispatch(&mut self, end: SimTime) {
-        if self.cur_node != NO_NODE {
-            // gnb-lint: allow(panic-path, reason = "guarded by the NO_NODE sentinel check; any other cur_node was minted by begin_dispatch as a nodes index")
-            self.nodes[self.cur_node as usize].end = end;
+        // NO_NODE indexes no node; any other cur_node was minted by
+        // begin_dispatch as a nodes index.
+        if let Some(node) = self.nodes.get_mut(self.cur_node as usize) {
+            node.end = end;
         }
         self.cur_node = NO_NODE;
     }
@@ -479,7 +496,12 @@ impl Obs {
         match kind {
             InstantKind::Retry => self.counter_add(MetricId::Retries, GLOBAL_RANK, time, 1),
             InstantKind::DupReply => self.counter_add(MetricId::DupReplies, GLOBAL_RANK, time, 1),
-            _ => {}
+            InstantKind::MsgDropped
+            | InstantKind::MsgDuplicated
+            | InstantKind::GiveUp
+            | InstantKind::Crash
+            | InstantKind::Takeover
+            | InstantKind::Restore => {}
         }
         if self.instants.len() >= self.cfg.max_instants {
             self.dropped_instants += 1;
@@ -495,32 +517,30 @@ impl Obs {
 
     /// Adds `delta` to a cumulative counter and samples the new total.
     pub fn counter_add(&mut self, metric: MetricId, rank: u32, time: SimTime, delta: u64) {
-        let idx = self.series_slot(metric, rank);
-        // gnb-lint: allow(panic-path, reason = "series_slot() just returned idx as a valid index into series, creating the slot if needed")
-        let s = &mut self.series[idx];
+        let max = self.cfg.max_samples_per_series;
+        let s = self.series_slot(metric, rank);
         s.current += delta;
         let v = s.current;
-        self.push_sample(idx, time, v);
+        s.push_sample(max, time, v);
     }
 
     /// Adds a signed `delta` to a gauge and samples the new value
     /// (saturating at zero, so a decrement with no matching increment —
     /// e.g. a hand-built partial trace — cannot panic).
     pub fn gauge_add(&mut self, metric: MetricId, rank: u32, time: SimTime, delta: i64) {
-        let idx = self.series_slot(metric, rank);
-        // gnb-lint: allow(panic-path, reason = "series_slot() just returned idx as a valid index into series, creating the slot if needed")
-        let s = &mut self.series[idx];
+        let max = self.cfg.max_samples_per_series;
+        let s = self.series_slot(metric, rank);
         s.current = s.current.saturating_add_signed(delta);
         let v = s.current;
-        self.push_sample(idx, time, v);
+        s.push_sample(max, time, v);
     }
 
     /// Sets a gauge to `value` and samples it.
     pub fn gauge_set(&mut self, metric: MetricId, rank: u32, time: SimTime, value: u64) {
-        let idx = self.series_slot(metric, rank);
-        // gnb-lint: allow(panic-path, reason = "series_slot() just returned idx as a valid index into series, creating the slot if needed")
-        self.series[idx].current = value;
-        self.push_sample(idx, time, value);
+        let max = self.cfg.max_samples_per_series;
+        let s = self.series_slot(metric, rank);
+        s.current = value;
+        s.push_sample(max, time, value);
     }
 
     /// The run is over at `end_time`: freezes the recorder (sorts series,
@@ -538,37 +558,28 @@ impl Obs {
         }
     }
 
-    fn series_slot(&mut self, metric: MetricId, rank: u32) -> usize {
-        if let Some(&i) = self.series_index.get(&(metric as u8, rank)) {
-            return i;
+    /// The series of `(metric, rank)`, created empty on first touch.
+    fn series_slot(&mut self, metric: MetricId, rank: u32) -> &mut MetricSeries {
+        let fresh = self.series.len();
+        let i = *self
+            .series_index
+            .entry((metric as u8, rank))
+            .or_insert(fresh);
+        if i == fresh {
+            self.series.push(MetricSeries {
+                metric,
+                rank,
+                samples: Vec::new(),
+                dropped: 0,
+                current: 0,
+            });
         }
-        let i = self.series.len();
-        self.series.push(MetricSeries {
-            metric,
-            rank,
-            samples: Vec::new(),
-            dropped: 0,
-            current: 0,
-        });
-        self.series_index.insert((metric as u8, rank), i);
-        i
-    }
-
-    fn push_sample(&mut self, idx: usize, time: SimTime, value: u64) {
-        let max = self.cfg.max_samples_per_series;
-        // gnb-lint: allow(panic-path, reason = "push_sample is only called with indexes series_slot() minted")
-        let s = &mut self.series[idx];
-        if let Some(last) = s.samples.last_mut() {
-            if last.0 == time {
-                last.1 = value;
-                return;
-            }
-        }
-        if s.samples.len() >= max {
-            s.dropped += 1;
-            return;
-        }
-        s.samples.push((time, value));
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "series_index maps only to indexes of series, and a fresh key's series was pushed just above"
+        )]
+        let s = &mut self.series[i];
+        s
     }
 
     /// Looks up a series by metric and rank.

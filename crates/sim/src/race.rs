@@ -16,6 +16,7 @@
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// One detected same-virtual-time conflict: two events dispatched to the
@@ -82,10 +83,9 @@ impl RaceDetector {
     /// dispatched to `rank` at virtual `time`. Closes (and analyses) the
     /// rank's open group if its dispatch time differs.
     pub fn begin_event(&mut self, rank: usize, time: SimTime, seq: u64) {
-        if let Some((open_time, _)) = self.open.get(&rank) {
-            if *open_time != time {
-                // gnb-lint: allow(panic-path, reason = "the get() on the line above proved the entry exists and nothing runs in between")
-                let (t, accesses) = self.open.remove(&rank).expect("checked above");
+        if let Entry::Occupied(open) = self.open.entry(rank) {
+            if open.get().0 != time {
+                let (t, accesses) = open.remove();
                 self.close_group(rank, t, accesses);
             }
         }
@@ -129,24 +129,14 @@ impl RaceDetector {
                 false
             }
         });
-        let mut i = 0;
-        while i < accesses.len() {
-            let mut j = i + 1;
-            // gnb-lint: allow(panic-path, reason = "the loop condition bounds j by accesses.len() before each access")
-            while j < accesses.len() && accesses[j].key == accesses[i].key {
-                j += 1;
-            }
-            // gnb-lint: allow(panic-path, reason = "i < j <= accesses.len() by the loop structure, so the slice bounds hold")
-            let group = &accesses[i..j];
+        for group in accesses.chunk_by(|a, b| a.key == b.key) {
             for (x, a) in group.iter().enumerate() {
-                // gnb-lint: allow(panic-path, reason = "x indexes group, so x + 1 is a valid (possibly empty) tail slice start")
-                for b in &group[x + 1..] {
+                for b in group.iter().skip(x + 1) {
                     if (a.write || b.write) && a.seq != b.seq {
                         self.push_record(rank, time, *a, *b);
                     }
                 }
             }
-            i = j;
         }
     }
 

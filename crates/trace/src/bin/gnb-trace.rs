@@ -33,7 +33,10 @@ fn load(path: &str) -> Result<gnb_sim::obs::Obs, String> {
 }
 
 fn main() -> ExitCode {
-    // gnb-lint: allow(ambient-env, reason = "CLI argument parsing is this binary's input")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI argument parsing is this binary's input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     match strs.as_slice() {

@@ -10,7 +10,10 @@ use gnb::core::pipeline::{run_pipeline, PipelineParams};
 use gnb::genome::presets;
 
 fn main() {
-    // gnb-lint: allow(ambient-env, reason = "demo binary: the CLI scale argument is the example's input, not simulated state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo binary: the CLI scale argument is the example's input, not simulated state"
+    )]
     let scale: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

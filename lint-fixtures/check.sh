@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Proves every determinism rule still fails the build. Each fixture under
 # fixtures/ is compiled under clippy, on its own, in the scope of one
-# package here; a `_bad` fixture must produce every lint name or rustc
-# error code listed for it below, and a `_clean` one must compile with no
-# diagnostic at all. Exit status 0 only if every line of the table holds.
+# package here, with the repository's own configuration: the clippy.toml
+# of the crates that package stands for, the workspace's [lints] table
+# (mirrored in this workspace's Cargo.toml, checked below) and the
+# panic-lint attribute of crates/{sim,core}/src/lib.rs (at the top of
+# the fixtures that need it, checked below). A `_bad` fixture must produce
+# every lint name or rustc error code listed for it, and a `_clean` one
+# must compile with no diagnostic at all. Exit status 0 only if every
+# line of the table and every mirror check holds.
 #
 #   lint-fixtures/check.sh        (from anywhere; needs cargo + clippy)
 set -u
@@ -38,6 +43,10 @@ core  wildcard_bad            clippy::wildcard_enum_match_arm
 core  wildcard_clean          clean
 core  key_base_bad            E0080
 core  key_base_clean          clean
+core  strategy_no_give_up_bad E0046
+core  strategy_no_give_up_clean clean
+core  strategy_bail_bad       clippy::unreachable
+core  strategy_bail_clean     clean
 edge  wall_clock_bad          clippy::disallowed_types
 edge  wall_clock_clean        clean
 edge  ambient_env_bad         clippy::disallowed_methods
@@ -58,17 +67,55 @@ bench annotation_bad          clippy::allow_attributes,clippy::allow_attributes_
 bench annotation_clean        clean
 '
 
+fail=0
+repo=$(cd .. && pwd)
+
+# The configuration each package is checked under: the directory whose
+# clippy.toml applies.
+conf_dir() {
+    case "$1" in
+        core) echo "$repo/crates/sim" ;;
+        edge) echo "$repo" ;;
+        bench) echo "$repo/crates/bench" ;;
+    esac
+}
+
+# Mirrors: the three core crates share one configuration; the lint
+# levels here are the workspace's; the fixtures' panic-lint line is the
+# one the libraries carry.
+for c in core overlap; do
+    if ! cmp -s "$repo/crates/sim/clippy.toml" "$repo/crates/$c/clippy.toml"; then
+        echo "FAIL crates/$c/clippy.toml differs from crates/sim/clippy.toml"
+        fail=1
+    fi
+done
+lints() { sed -n '/^\[workspace\.lints/,/^\[[a-z]*\]$/p' "$1" | grep -v '^\[[a-z]*\]$' | grep -v '^#' | grep .; }
+if [ "$(lints Cargo.toml)" != "$(lints "$repo/Cargo.toml")" ]; then
+    echo "FAIL [workspace.lints] here differs from the repository's"
+    fail=1
+fi
+deny() { sed -n '/^#!\[deny(/,/^)\]/p' "$1"; }
+for f in fixtures/*.rs; do
+    [ -z "$(deny "$f")" ] && continue
+    for lib in sim core; do
+        if [ "$(deny "$f")" != "$(deny "$repo/crates/$lib/src/lib.rs")" ]; then
+            echo "FAIL $f: its #![deny(...)] differs from crates/$lib/src/lib.rs's"
+            fail=1
+        fi
+    done
+done
+
 # Each package's targets, compiled once: JSON diagnostics, one per line.
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 for pkg in core edge bench; do
     cargo clean -q -p "fixtures-$pkg" 2>/dev/null
-    cargo clippy -q -p "fixtures-$pkg" --all-targets --keep-going --offline \
+    CLIPPY_CONF_DIR=$(conf_dir "$pkg") \
+        cargo clippy -q -p "fixtures-$pkg" --all-targets --keep-going --offline \
         --message-format=json -- -D warnings 2>/dev/null |
         grep '"reason":"compiler-message"' > "$out/$pkg.json"
 done
 
-fail=0
 while read -r pkg fixture expected; do
     [ -z "$pkg" ] && continue
     # Diagnostics of this target, reduced to their codes.

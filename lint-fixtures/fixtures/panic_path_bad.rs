@@ -1,4 +1,11 @@
-#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::wildcard_enum_match_arm)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
+)]
 //! panic-path: the simulator and coordination libraries deny every panic
 //! site crate-wide (unwrap, expect, panic!, unreachable!, indexing), not
 //! only what the recovery hooks reach.

@@ -1,4 +1,11 @@
-#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::wildcard_enum_match_arm)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm
+)]
 //! Checked access passes; a site whose invariant cannot be a type carries
 //! a statement-level `#[expect]` with the invariant as its reason; test
 //! code may panic (clippy.toml's allow-*-in-tests).
@@ -22,7 +29,10 @@ impl Takeover {
     }
 
     pub fn on_give_up(&mut self, key: u64) {
-        #[expect(clippy::unreachable, reason = "fixture: a degrade-only strategy abandons nothing")]
+        #[expect(
+            clippy::unreachable,
+            reason = "fixture: a degrade-only strategy abandons nothing"
+        )]
         if key == u64::MAX {
             unreachable!("degrade");
         }

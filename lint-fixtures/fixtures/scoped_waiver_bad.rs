@@ -3,7 +3,10 @@
 //! allowed, so this `#[expect]` is unfulfilled there (inside the core it
 //! is fulfilled, and this file passes).
 pub fn table() -> usize {
-    #[expect(clippy::disallowed_types, reason = "fixture: only the core bans HashMap")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "fixture: only the core bans HashMap"
+    )]
     let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
     m.len()
 }

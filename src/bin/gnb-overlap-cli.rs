@@ -39,7 +39,10 @@ fn parse_opts() -> Opts {
         min_overlap: 500,
         out: None,
     };
-    // gnb-lint: allow(ambient-env, reason = "CLI argument parsing is this binary's input")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI argument parsing is this binary's input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
