@@ -33,6 +33,7 @@
 use crate::async_alg::AsyncRankPlan;
 use crate::driver::RunConfig;
 use crate::pull::{PullApp, PullCtx, PullStrategy, WirePolicy};
+use crate::runtime::TAKEOVER_KEY_BASE;
 use gnb_sim::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,6 +41,13 @@ use std::sync::Arc;
 /// Batch keys live above the 32-bit read-id space, so owner-side read
 /// race keys and runtime batch race keys can never collide.
 const BATCH_KEY_BASE: u64 = 1 << 32;
+
+// The three key namespaces stay disjoint: plain keys are u32 read ids,
+// batch keys start above them and below the takeover keys.
+const _: () = assert!(
+    BATCH_KEY_BASE > u32::MAX as u64 && BATCH_KEY_BASE < TAKEOVER_KEY_BASE,
+    "batch keys must sit above the u32 read ids and below the takeover keys"
+);
 
 /// The coalescer's self-timer: flush the pending batch for `owner` unless
 /// generation `gen` is stale (the batch already flushed at threshold).

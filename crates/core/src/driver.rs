@@ -14,7 +14,7 @@ use gnb_sim::ckpt::{CkptParams, CkptStore};
 use gnb_sim::engine::SimReport;
 use gnb_sim::fault::{CrashPlan, FaultConfig, FaultPlan, FaultStats};
 use gnb_sim::race::RaceDetector;
-use gnb_sim::{Engine, TieBreak};
+use gnb_sim::{Engine, SimTime, TieBreak};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -142,7 +142,8 @@ pub struct RunConfig {
     /// is gone (DESIGN.md "Why the DES has one mode"); every value yields
     /// the byte-identical report the field always promised (pinned by
     /// `tests/parallel_equivalence.rs`). Kept only because the fenced
-    /// benchmark names it, until ROADMAP 5(b) removes it.
+    /// benchmark names it, until the code change that follows ROADMAP
+    /// item 2's fence clearing removes it.
     pub threads: usize,
 }
 
@@ -212,14 +213,30 @@ const MAX_REQ_BYTES: u64 = 1 << 30;
 const MAX_OS_NOISE: f64 = 10.0;
 /// Largest BSP memory-overhead factor.
 const MAX_BSP_FACTOR: f64 = 1_000.0;
+/// [`MAX_SPAN_NS`] in the milliseconds the stall fields use.
+const MAX_SPAN_MS: u64 = MAX_SPAN_NS / 1_000_000;
+/// Latest millisecond a straggler window may name: the "whole run"
+/// default, `u64::MAX` nanoseconds.
+const MAX_WINDOW_MS: u64 = u64::MAX / 1_000_000;
+/// Largest straggler slowdown: compute at most 1,000× slower.
+const MAX_STRAGGLER_FACTOR: f64 = 1_000.0;
+/// Largest per-task cell count of the cost model, about 5·10⁵ times the
+/// default false positive.
+const MAX_TASK_CELLS: f64 = 1e9;
+/// Largest cell count per overlapping base, about 250 times the default.
+const MAX_CELLS_PER_BP: f64 = 1e4;
+/// Shortest checkpoint interval, 1 ms: a shorter one floods the queue
+/// with checkpoint timers (zero never lets the run end).
+const MIN_CKPT_INTERVAL_NS: u64 = 1_000_000;
 
 impl RunConfig {
     /// Checks every scalar field against the range the simulator can
     /// model, so that an absurd value is a typed error instead of an
     /// arithmetic overflow (a panic in debug builds, a silently wrong
-    /// timeline in release builds). The nested fault, crash, checkpoint
-    /// and cost configurations are not checked here.
-    fn validate(&self) -> Result<(), RunError> {
+    /// timeline in release builds), a panic in the engine, or a run that
+    /// never ends. `nranks` is the machine's rank count, which the crash
+    /// plan must stay within.
+    fn validate(&self, nranks: usize) -> Result<(), RunError> {
         let spans = [
             ("agg_flush_ns", self.agg_flush_ns),
             ("overhead_ns_per_task_bsp", self.overhead_ns_per_task_bsp),
@@ -250,6 +267,107 @@ impl RunConfig {
             .find(|&&(_, x)| !(0.0..=MAX_BSP_FACTOR).contains(&x))
         {
             return invalid(field, "a finite factor in [0, 1000]");
+        }
+        self.validate_fault()?;
+        self.validate_crash(nranks)?;
+        self.validate_ckpt()?;
+        self.validate_cost()
+    }
+
+    fn validate_fault(&self) -> Result<(), RunError> {
+        let f = &self.fault;
+        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
+        let probs = [
+            ("fault.drop_prob", f.drop_prob),
+            ("fault.dup_prob", f.dup_prob),
+            ("fault.delay_prob", f.delay_prob),
+            ("fault.bsp_round_drop_prob", f.bsp_round_drop_prob),
+        ];
+        if let Some(&(field, _)) = probs.iter().find(|&&(_, p)| !(0.0..=1.0).contains(&p)) {
+            return invalid(field, "a probability in [0, 1]");
+        }
+        if f.delay_ns > MAX_SPAN_NS {
+            return invalid("fault.delay_ns", "at most 10^12 ns (1,000 s)");
+        }
+        if !(0.0..=MAX_STRAGGLER_FACTOR).contains(&f.straggler_factor) {
+            return invalid("fault.straggler_factor", "a finite factor in [0, 1000]");
+        }
+        let window = [
+            ("fault.straggler_start_ms", f.straggler_start_ms),
+            ("fault.straggler_end_ms", f.straggler_end_ms),
+        ];
+        if let Some(&(field, _)) = window.iter().find(|&&(_, ms)| ms > MAX_WINDOW_MS) {
+            return invalid(field, "at most u64::MAX / 10^6 ms");
+        }
+        let stall = [
+            ("fault.stall_at_ms", f.stall_at_ms),
+            ("fault.stall_ms", f.stall_ms),
+        ];
+        if let Some(&(field, _)) = stall.iter().find(|&&(_, ms)| ms > MAX_SPAN_MS) {
+            return invalid(field, "at most 10^6 ms (1,000 s)");
+        }
+        Ok(())
+    }
+
+    fn validate_crash(&self, nranks: usize) -> Result<(), RunError> {
+        let crashes = &self.crash.crashes;
+        let invalid = |range| {
+            Err(RunError::InvalidConfig {
+                field: "crash",
+                range,
+            })
+        };
+        if crashes.iter().any(|c| c.rank >= nranks) {
+            return invalid("crashes of ranks below the machine's rank count");
+        }
+        let late = |t: SimTime| t.as_ns() > MAX_SPAN_NS;
+        if crashes
+            .iter()
+            .any(|c| late(c.at) || c.rebirth.is_some_and(late))
+        {
+            return invalid("crash and rebirth times of at most 10^12 ns (1,000 s)");
+        }
+        if self.crash_response == CrashResponse::Takeover && self.crash.survivors(nranks).is_empty()
+        {
+            return invalid("a plan that leaves a rank to take over");
+        }
+        Ok(())
+    }
+
+    fn validate_ckpt(&self) -> Result<(), RunError> {
+        let c = &self.ckpt;
+        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
+        if !(MIN_CKPT_INTERVAL_NS..=MAX_SPAN_NS).contains(&c.interval_ns) {
+            return invalid("ckpt.interval_ns", "in [10^6, 10^12] ns (1 ms to 1,000 s)");
+        }
+        let costs = [
+            ("ckpt.base_ns", c.base_ns),
+            ("ckpt.per_kib_ns", c.per_kib_ns),
+        ];
+        if let Some(&(field, _)) = costs.iter().find(|&&(_, ns)| ns > MAX_SPAN_NS) {
+            return invalid(field, "at most 10^12 ns (1,000 s)");
+        }
+        Ok(())
+    }
+
+    fn validate_cost(&self) -> Result<(), RunError> {
+        let c = &self.cost;
+        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
+        let cells = [
+            ("cost.fp_cells", c.fp_cells),
+            ("cost.base_cells", c.base_cells),
+        ];
+        if let Some(&(field, _)) = cells
+            .iter()
+            .find(|&&(_, x)| !(0.0..=MAX_TASK_CELLS).contains(&x))
+        {
+            return invalid(field, "a finite cell count in [0, 10^9]");
+        }
+        if !(0.0..=MAX_CELLS_PER_BP).contains(&c.cells_per_overlap_bp) {
+            return invalid("cost.cells_per_overlap_bp", "a finite rate in [0, 10^4]");
+        }
+        if !(0.0..=1.0).contains(&c.jitter) {
+            return invalid("cost.jitter", "an amplitude in [0, 1]");
         }
         Ok(())
     }
@@ -510,8 +628,8 @@ pub fn try_run_sim(
     algo: Algorithm,
     cfg: &RunConfig,
 ) -> Result<RunResult, RunError> {
-    cfg.validate()?;
     let nranks = machine.nranks();
+    cfg.validate(nranks)?;
     assert_eq!(
         workload.nranks, nranks,
         "workload prepared for {} ranks, machine has {}",

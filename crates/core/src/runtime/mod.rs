@@ -67,6 +67,12 @@ use std::sync::Arc;
 /// (plain read ids are `u32`, batch keys sit at `1 << 32`).
 pub const TAKEOVER_KEY_BASE: u64 = 1 << 40;
 
+// `d << 32` above assumes the takeover namespace starts at bit 40.
+const _: () = assert!(
+    TAKEOVER_KEY_BASE == 1 << 40,
+    "the takeover namespace starts at 1 << 40"
+);
+
 /// The wire/event enum every runtime-hosted strategy runs over. `A` is
 /// the strategy's own message type (polls, flush timers), `Q`/`P` the
 /// tracked request/reply payloads.

@@ -1,6 +1,6 @@
-//! Hostile configurations: a `RunConfig` whose scalar fields take extreme
-//! values must end in `Ok` or `RunError::InvalidConfig` naming an
-//! offending field, for every strategy, and within a bounded number of
+//! Hostile configurations: a `RunConfig` whose fields, scalar or nested,
+//! take extreme values must end in `Ok` or `RunError::InvalidConfig`
+//! naming an offending field, for every strategy, and within a bounded number of
 //! events. Before `try_run_sim` validated its config, a maximal duration
 //! or size overflowed: a panic in debug builds, and in release builds a
 //! wrapped timeline that finished *earlier* than the default run and
@@ -9,9 +9,11 @@
 
 use gnb::core::driver::{try_run_sim, Algorithm, RunConfig, RunError};
 use gnb::core::workload::SimWorkload;
-use gnb::core::MachineConfig;
+use gnb::core::{CostModel, MachineConfig};
 use gnb::genome::presets;
 use gnb::overlap::synth::{synthesize, SynthParams};
+use gnb::sim::ckpt::CkptParams;
+use gnb::sim::fault::{CrashPlan, FaultConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -199,6 +201,152 @@ fn reproduced_overflows_are_invalid_config() {
             match try_run_sim(&s.workload, &s.machine, algo, cfg) {
                 Err(RunError::InvalidConfig { field, .. }) => assert_eq!(field, *want),
                 other => panic!("{algo} with an absurd `{want}`: {other:?}"),
+            }
+        }
+    }
+}
+
+/// Hostile values of the nested fault, crash, checkpoint and cost
+/// configurations. Each panicked in the engine, the time arithmetic or the
+/// takeover successor, or never finished, before the validation covered
+/// them; each is now refused with the field's name by all three
+/// strategies, in debug and release builds alike.
+#[test]
+fn hostile_nested_values_are_invalid_config() {
+    let d = RunConfig::default();
+    let crash_of = |plan: CrashPlan| RunConfig {
+        crash: plan,
+        ..RunConfig::default()
+    };
+    let fault = |f: FaultConfig| RunConfig {
+        fault: f,
+        ..RunConfig::default()
+    };
+    let cost = |c: CostModel| RunConfig {
+        cost: c,
+        ..RunConfig::default()
+    };
+    let one_crash = CrashPlan::none().with_crash(3, 1_000_000, None);
+    let ckpt = |c: CkptParams| RunConfig {
+        crash: one_crash.clone(),
+        ckpt: c,
+        ..RunConfig::default()
+    };
+    let every_rank = (0..8).fold(CrashPlan::none(), |plan, r| {
+        plan.with_crash(r, 1_000_000, None)
+    });
+    let cases: Vec<(&str, RunConfig)> = vec![
+        (
+            "crash",
+            crash_of(CrashPlan::none().with_crash(8, 1_000_000, None)),
+        ),
+        ("crash", crash_of(every_rank)),
+        (
+            "crash",
+            crash_of(CrashPlan::none().with_crash(3, u64::MAX, None)),
+        ),
+        (
+            "fault.drop_prob",
+            fault(FaultConfig {
+                drop_prob: f64::NAN,
+                ..d.fault
+            }),
+        ),
+        (
+            "fault.drop_prob",
+            fault(FaultConfig {
+                drop_prob: 2.0,
+                ..d.fault
+            }),
+        ),
+        (
+            "fault.straggler_factor",
+            fault(FaultConfig {
+                straggler_period: 2,
+                straggler_factor: f64::INFINITY,
+                ..d.fault
+            }),
+        ),
+        (
+            "fault.delay_ns",
+            fault(FaultConfig {
+                delay_prob: 0.5,
+                delay_ns: u64::MAX,
+                ..d.fault
+            }),
+        ),
+        (
+            "fault.stall_ms",
+            fault(FaultConfig {
+                stall_period: 2,
+                stall_at_ms: 1,
+                stall_ms: u64::MAX,
+                ..d.fault
+            }),
+        ),
+        (
+            "cost.fp_cells",
+            cost(CostModel {
+                fp_cells: f64::NAN,
+                ..d.cost
+            }),
+        ),
+        (
+            "cost.fp_cells",
+            cost(CostModel {
+                fp_cells: -1.0,
+                ..d.cost
+            }),
+        ),
+        (
+            "cost.cells_per_overlap_bp",
+            cost(CostModel {
+                cells_per_overlap_bp: f64::INFINITY,
+                ..d.cost
+            }),
+        ),
+        (
+            "cost.jitter",
+            cost(CostModel {
+                jitter: f64::NAN,
+                ..d.cost
+            }),
+        ),
+        (
+            "cost.jitter",
+            cost(CostModel {
+                jitter: -1.0,
+                ..d.cost
+            }),
+        ),
+        (
+            "cost.base_cells",
+            cost(CostModel {
+                base_cells: 1e300,
+                ..d.cost
+            }),
+        ),
+        (
+            "ckpt.base_ns",
+            ckpt(CkptParams {
+                base_ns: u64::MAX,
+                ..d.ckpt
+            }),
+        ),
+        (
+            "ckpt.interval_ns",
+            ckpt(CkptParams {
+                interval_ns: 0,
+                ..d.ckpt
+            }),
+        ),
+    ];
+    let s = setup();
+    for (want, cfg) in &cases {
+        for algo in Algorithm::ALL {
+            match try_run_sim(&s.workload, &s.machine, algo, cfg) {
+                Err(RunError::InvalidConfig { field, .. }) => assert_eq!(field, *want),
+                other => panic!("{algo} with a hostile `{want}`: {other:?}"),
             }
         }
     }
