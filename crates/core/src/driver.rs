@@ -237,139 +237,133 @@ impl RunConfig {
     /// never ends. `nranks` is the machine's rank count, which the crash
     /// plan must stay within.
     fn validate(&self, nranks: usize) -> Result<(), RunError> {
-        let spans = [
-            ("agg_flush_ns", self.agg_flush_ns),
-            ("overhead_ns_per_task_bsp", self.overhead_ns_per_task_bsp),
+        let span = |ns: u64| ns <= MAX_SPAN_NS;
+        let prob = |p: f64| (0.0..=1.0).contains(&p);
+        let (f, c, k) = (&self.fault, &self.cost, &self.ckpt);
+        let crashes = &self.crash.crashes;
+        let crash_time = |t: SimTime| span(t.as_ns());
+        const SPAN: &str = "at most 10^12 ns (1,000 s)";
+        const PROB: &str = "a probability in [0, 1]";
+        const CELLS: &str = "a finite cell count in [0, 10^9]";
+        let checks = [
+            ("agg_flush_ns", span(self.agg_flush_ns), SPAN),
+            (
+                "overhead_ns_per_task_bsp",
+                span(self.overhead_ns_per_task_bsp),
+                SPAN,
+            ),
             (
                 "overhead_ns_per_task_async",
-                self.overhead_ns_per_task_async,
+                span(self.overhead_ns_per_task_async),
+                SPAN,
             ),
-            ("rpc_timeout_ns", self.rpc_timeout_ns),
-            ("rpc_backoff_max_ns", self.rpc_backoff_max_ns),
-            ("crash_detect_ns", self.crash_detect_ns),
+            ("rpc_timeout_ns", span(self.rpc_timeout_ns), SPAN),
+            ("rpc_backoff_max_ns", span(self.rpc_backoff_max_ns), SPAN),
+            ("crash_detect_ns", span(self.crash_detect_ns), SPAN),
+            (
+                "req_bytes",
+                self.req_bytes <= MAX_REQ_BYTES,
+                "at most 2^30 bytes",
+            ),
+            (
+                "os_noise",
+                (0.0..=MAX_OS_NOISE).contains(&self.os_noise),
+                "a finite amplitude in [0, 10]",
+            ),
+            (
+                "bsp_exchange_overhead",
+                (0.0..=MAX_BSP_FACTOR).contains(&self.bsp_exchange_overhead),
+                "a finite factor in [0, 1000]",
+            ),
+            (
+                "bsp_buffer_factor",
+                (0.0..=MAX_BSP_FACTOR).contains(&self.bsp_buffer_factor),
+                "a finite factor in [0, 1000]",
+            ),
+            ("fault.drop_prob", prob(f.drop_prob), PROB),
+            ("fault.dup_prob", prob(f.dup_prob), PROB),
+            ("fault.delay_prob", prob(f.delay_prob), PROB),
+            (
+                "fault.bsp_round_drop_prob",
+                prob(f.bsp_round_drop_prob),
+                PROB,
+            ),
+            ("fault.delay_ns", span(f.delay_ns), SPAN),
+            (
+                "fault.straggler_factor",
+                (0.0..=MAX_STRAGGLER_FACTOR).contains(&f.straggler_factor),
+                "a finite factor in [0, 1000]",
+            ),
+            (
+                "fault.straggler_start_ms",
+                f.straggler_start_ms <= MAX_WINDOW_MS,
+                "at most u64::MAX / 10^6 ms",
+            ),
+            (
+                "fault.straggler_end_ms",
+                f.straggler_end_ms <= MAX_WINDOW_MS,
+                "at most u64::MAX / 10^6 ms",
+            ),
+            (
+                "fault.stall_at_ms",
+                f.stall_at_ms <= MAX_SPAN_MS,
+                "at most 10^6 ms (1,000 s)",
+            ),
+            (
+                "fault.stall_ms",
+                f.stall_ms <= MAX_SPAN_MS,
+                "at most 10^6 ms (1,000 s)",
+            ),
+            (
+                "crash",
+                crashes.iter().all(|c| c.rank < nranks),
+                "crashes of ranks below the machine's rank count",
+            ),
+            (
+                "crash",
+                crashes
+                    .iter()
+                    .all(|c| crash_time(c.at) && c.rebirth.is_none_or(crash_time)),
+                "crash and rebirth times of at most 10^12 ns (1,000 s)",
+            ),
+            (
+                "crash",
+                self.crash_response != CrashResponse::Takeover
+                    || !self.crash.survivors(nranks).is_empty(),
+                "a plan that leaves a rank to take over",
+            ),
+            (
+                "ckpt.interval_ns",
+                (MIN_CKPT_INTERVAL_NS..=MAX_SPAN_NS).contains(&k.interval_ns),
+                "in [10^6, 10^12] ns (1 ms to 1,000 s)",
+            ),
+            ("ckpt.base_ns", span(k.base_ns), SPAN),
+            ("ckpt.per_kib_ns", span(k.per_kib_ns), SPAN),
+            (
+                "cost.fp_cells",
+                (0.0..=MAX_TASK_CELLS).contains(&c.fp_cells),
+                CELLS,
+            ),
+            (
+                "cost.base_cells",
+                (0.0..=MAX_TASK_CELLS).contains(&c.base_cells),
+                CELLS,
+            ),
+            (
+                "cost.cells_per_overlap_bp",
+                (0.0..=MAX_CELLS_PER_BP).contains(&c.cells_per_overlap_bp),
+                "a finite rate in [0, 10^4]",
+            ),
+            (
+                "cost.jitter",
+                (0.0..=1.0).contains(&c.jitter),
+                "an amplitude in [0, 1]",
+            ),
         ];
-        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
-        if let Some(&(field, _)) = spans.iter().find(|&&(_, ns)| ns > MAX_SPAN_NS) {
-            return invalid(field, "at most 10^12 ns (1,000 s)");
+        match checks.iter().find(|&&(_, ok, _)| !ok) {
+            Some(&(field, _, range)) => Err(RunError::InvalidConfig { field, range }),
+            None => Ok(()),
         }
-        if self.req_bytes > MAX_REQ_BYTES {
-            return invalid("req_bytes", "at most 2^30 bytes");
-        }
-        if !(0.0..=MAX_OS_NOISE).contains(&self.os_noise) {
-            return invalid("os_noise", "a finite amplitude in [0, 10]");
-        }
-        let factors = [
-            ("bsp_exchange_overhead", self.bsp_exchange_overhead),
-            ("bsp_buffer_factor", self.bsp_buffer_factor),
-        ];
-        if let Some(&(field, _)) = factors
-            .iter()
-            .find(|&&(_, x)| !(0.0..=MAX_BSP_FACTOR).contains(&x))
-        {
-            return invalid(field, "a finite factor in [0, 1000]");
-        }
-        self.validate_fault()?;
-        self.validate_crash(nranks)?;
-        self.validate_ckpt()?;
-        self.validate_cost()
-    }
-
-    fn validate_fault(&self) -> Result<(), RunError> {
-        let f = &self.fault;
-        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
-        let probs = [
-            ("fault.drop_prob", f.drop_prob),
-            ("fault.dup_prob", f.dup_prob),
-            ("fault.delay_prob", f.delay_prob),
-            ("fault.bsp_round_drop_prob", f.bsp_round_drop_prob),
-        ];
-        if let Some(&(field, _)) = probs.iter().find(|&&(_, p)| !(0.0..=1.0).contains(&p)) {
-            return invalid(field, "a probability in [0, 1]");
-        }
-        if f.delay_ns > MAX_SPAN_NS {
-            return invalid("fault.delay_ns", "at most 10^12 ns (1,000 s)");
-        }
-        if !(0.0..=MAX_STRAGGLER_FACTOR).contains(&f.straggler_factor) {
-            return invalid("fault.straggler_factor", "a finite factor in [0, 1000]");
-        }
-        let window = [
-            ("fault.straggler_start_ms", f.straggler_start_ms),
-            ("fault.straggler_end_ms", f.straggler_end_ms),
-        ];
-        if let Some(&(field, _)) = window.iter().find(|&&(_, ms)| ms > MAX_WINDOW_MS) {
-            return invalid(field, "at most u64::MAX / 10^6 ms");
-        }
-        let stall = [
-            ("fault.stall_at_ms", f.stall_at_ms),
-            ("fault.stall_ms", f.stall_ms),
-        ];
-        if let Some(&(field, _)) = stall.iter().find(|&&(_, ms)| ms > MAX_SPAN_MS) {
-            return invalid(field, "at most 10^6 ms (1,000 s)");
-        }
-        Ok(())
-    }
-
-    fn validate_crash(&self, nranks: usize) -> Result<(), RunError> {
-        let crashes = &self.crash.crashes;
-        let invalid = |range| {
-            Err(RunError::InvalidConfig {
-                field: "crash",
-                range,
-            })
-        };
-        if crashes.iter().any(|c| c.rank >= nranks) {
-            return invalid("crashes of ranks below the machine's rank count");
-        }
-        let late = |t: SimTime| t.as_ns() > MAX_SPAN_NS;
-        if crashes
-            .iter()
-            .any(|c| late(c.at) || c.rebirth.is_some_and(late))
-        {
-            return invalid("crash and rebirth times of at most 10^12 ns (1,000 s)");
-        }
-        if self.crash_response == CrashResponse::Takeover && self.crash.survivors(nranks).is_empty()
-        {
-            return invalid("a plan that leaves a rank to take over");
-        }
-        Ok(())
-    }
-
-    fn validate_ckpt(&self) -> Result<(), RunError> {
-        let c = &self.ckpt;
-        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
-        if !(MIN_CKPT_INTERVAL_NS..=MAX_SPAN_NS).contains(&c.interval_ns) {
-            return invalid("ckpt.interval_ns", "in [10^6, 10^12] ns (1 ms to 1,000 s)");
-        }
-        let costs = [
-            ("ckpt.base_ns", c.base_ns),
-            ("ckpt.per_kib_ns", c.per_kib_ns),
-        ];
-        if let Some(&(field, _)) = costs.iter().find(|&&(_, ns)| ns > MAX_SPAN_NS) {
-            return invalid(field, "at most 10^12 ns (1,000 s)");
-        }
-        Ok(())
-    }
-
-    fn validate_cost(&self) -> Result<(), RunError> {
-        let c = &self.cost;
-        let invalid = |field, range| Err(RunError::InvalidConfig { field, range });
-        let cells = [
-            ("cost.fp_cells", c.fp_cells),
-            ("cost.base_cells", c.base_cells),
-        ];
-        if let Some(&(field, _)) = cells
-            .iter()
-            .find(|&&(_, x)| !(0.0..=MAX_TASK_CELLS).contains(&x))
-        {
-            return invalid(field, "a finite cell count in [0, 10^9]");
-        }
-        if !(0.0..=MAX_CELLS_PER_BP).contains(&c.cells_per_overlap_bp) {
-            return invalid("cost.cells_per_overlap_bp", "a finite rate in [0, 10^4]");
-        }
-        if !(0.0..=1.0).contains(&c.jitter) {
-            return invalid("cost.jitter", "an amplitude in [0, 1]");
-        }
-        Ok(())
     }
 }
 
@@ -647,7 +641,7 @@ pub fn try_run_sim(
         machine,
         cfg,
         fault_plan: Arc::new(fault_plan),
-        ckpt_store: (!cfg.crash.is_empty()).then(|| Rc::new(RefCell::new(CkptStore::new()))),
+        ckpt_store: (!cfg.crash.is_empty()).then(|| Rc::new(RefCell::new(CkptStore::default()))),
         dead_ranks,
     };
     let (outcome, rounds) = match algo {
@@ -784,12 +778,10 @@ mod tests {
         let _ = run_sim(&w, &m, Algorithm::Bsp, &RunConfig::default());
     }
 
-    /// Every self-timer variant the real strategies arm reaches a handler
-    /// that acts on it. The compiler proves each `PullApp` variant has an
-    /// arm (this crate denies wildcard arms); this proves no arm drops its
-    /// message: polls drain all work, AggAsync's flush timers ship the
-    /// partial batches its window waits on, and checkpoint timers write
-    /// the checkpoint a successor restores.
+    /// Every self-timer variant the real strategies arm has an arm (no
+    /// wildcard arms here), and no arm drops its message: polls drain all
+    /// work, AggAsync's flush timers ship its partial batches, and
+    /// checkpoint timers write the checkpoint a successor restores.
     #[test]
     fn every_armed_app_variant_is_handled() {
         let m = machine(1, 8);

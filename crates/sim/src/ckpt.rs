@@ -295,11 +295,6 @@ pub struct CkptStore {
 }
 
 impl CkptStore {
-    /// An empty store.
-    pub fn new() -> CkptStore {
-        CkptStore::default()
-    }
-
     /// Accepts a checkpoint, superseding any earlier epoch from `rank`.
     ///
     /// # Panics
@@ -410,7 +405,7 @@ mod tests {
 
     #[test]
     fn store_keeps_latest_epoch_only() {
-        let mut s = CkptStore::new();
+        let mut s = CkptStore::default();
         assert!(s.latest(1).is_none());
         s.record(1, 0, SimTime::from_ms(1), vec![1, 2]);
         s.record(1, 1, SimTime::from_ms(2), vec![3]);
@@ -424,7 +419,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "epoch went backwards")]
     fn store_rejects_stale_epoch() {
-        let mut s = CkptStore::new();
+        let mut s = CkptStore::default();
         s.record(0, 3, SimTime::from_ms(1), vec![]);
         s.record(0, 3, SimTime::from_ms(2), vec![]);
     }

@@ -58,18 +58,6 @@ pub const CATEGORIES: usize = 5;
 impl TimeCategory {
     /// This category's entry of a per-category row. The row has one
     /// entry per variant, so the lookup cannot miss.
-    pub(crate) fn of<T>(self, row: &[T; CATEGORIES]) -> &T {
-        let [compute, overhead, comm, sync, recovery] = row;
-        match self {
-            TimeCategory::Compute => compute,
-            TimeCategory::Overhead => overhead,
-            TimeCategory::Comm => comm,
-            TimeCategory::Sync => sync,
-            TimeCategory::Recovery => recovery,
-        }
-    }
-
-    /// Mutable [`TimeCategory::of`].
     pub(crate) fn of_mut<T>(self, row: &mut [T; CATEGORIES]) -> &mut T {
         let [compute, overhead, comm, sync, recovery] = row;
         match self {
@@ -565,7 +553,8 @@ pub struct SimReport {
 impl SimReport {
     /// Summary of one ledger category across ranks, in seconds.
     pub fn category_summary(&self, cat: TimeCategory) -> Summary {
-        Summary::of(self.ranks.iter().map(|r| cat.of(&r.ledger).as_secs_f64()))
+        let secs = |r: &RankReport| r.ledger.get(cat as usize).map_or(0.0, |t| t.as_secs_f64());
+        Summary::of(self.ranks.iter().map(secs))
     }
 
     /// Mean seconds per rank of one category.

@@ -3,9 +3,9 @@
 # fixtures/ is compiled under clippy, on its own, in the scope of one
 # package here, with the repository's own configuration: the clippy.toml
 # of the crates that package stands for, the workspace's [lints] table
-# (mirrored in this workspace's Cargo.toml, checked below) and the
-# panic-lint attribute of crates/{sim,core}/src/lib.rs (at the top of
-# the fixtures that need it, checked below). A `_bad` fixture must produce
+# (mirrored in this workspace's Cargo.toml, checked below) and, for the
+# core package, the panic lints crates/{sim,core}/src/lib.rs deny
+# (mirrored in core/Cargo.toml, checked below). A `_bad` fixture must produce
 # every lint name or rustc error code listed for it, and a `_clean` one
 # must compile with no diagnostic at all. Exit status 0 only if every
 # line of the table and every mirror check holds.
@@ -45,8 +45,6 @@ core  key_base_bad            E0080
 core  key_base_clean          clean
 core  strategy_no_give_up_bad E0046
 core  strategy_no_give_up_clean clean
-core  strategy_bail_bad       clippy::unreachable
-core  strategy_bail_clean     clean
 edge  wall_clock_bad          clippy::disallowed_types
 edge  wall_clock_clean        clean
 edge  ambient_env_bad         clippy::disallowed_methods
@@ -89,21 +87,23 @@ for c in core overlap; do
         fail=1
     fi
 done
-lints() { sed -n '/^\[workspace\.lints/,/^\[[a-z]*\]$/p' "$1" | grep -v '^\[[a-z]*\]$' | grep -v '^#' | grep .; }
-if [ "$(lints Cargo.toml)" != "$(lints "$repo/Cargo.toml")" ]; then
-    echo "FAIL [workspace.lints] here differs from the repository's"
+# Lint names a manifest sets to deny, and lint names a library's
+# #![deny(...)] lists, each sorted.
+denied() { grep -o '^[a-z_]* = "deny"' "$1" | cut -d' ' -f1 | sort; }
+deny() { sed -n '/^#!\[deny(/,/^)\]/p' "$1" | grep -o 'clippy::[a-z_]*' | cut -d: -f3 | sort; }
+if [ "$(denied Cargo.toml)" != "$(denied "$repo/Cargo.toml")" ]; then
+    echo "FAIL the lints denied here differ from the workspace's"
     fail=1
 fi
-deny() { sed -n '/^#!\[deny(/,/^)\]/p' "$1"; }
-for f in fixtures/*.rs; do
-    [ -z "$(deny "$f")" ] && continue
-    for lib in sim core; do
-        if [ "$(deny "$f")" != "$(deny "$repo/crates/$lib/src/lib.rs")" ]; then
-            echo "FAIL $f: its #![deny(...)] differs from crates/$lib/src/lib.rs's"
-            fail=1
-        fi
-    done
-done
+if [ "$(deny "$repo/crates/sim/src/lib.rs")" != "$(deny "$repo/crates/core/src/lib.rs")" ]; then
+    echo "FAIL crates/sim and crates/core deny different panic lints"
+    fail=1
+fi
+want=$( (denied "$repo/Cargo.toml"; deny "$repo/crates/sim/src/lib.rs") | sort)
+if [ "$(denied core/Cargo.toml)" != "$want" ]; then
+    echo "FAIL core/Cargo.toml denies other lints than the workspace plus crates/sim"
+    fail=1
+fi
 
 # Each package's targets, compiled once: JSON diagnostics, one per line.
 out=$(mktemp -d)

@@ -1,11 +1,3 @@
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::wildcard_enum_match_arm
-)]
 //! Checked access passes; a site whose invariant cannot be a type carries
 //! a statement-level `#[expect]` with the invariant as its reason; test
 //! code may panic (clippy.toml's allow-*-in-tests).

@@ -1,5 +1,7 @@
 //! A strategy that issues tracked requests handles replies and give-ups
-//! both: an abandoned request unwinds its in-flight count.
+//! both: an abandoned request unwinds its in-flight count. (One that
+//! issues none declares uninhabited payloads and answers
+//! `match payload {}`, as `gnb_core::bsp::BspStrategy` does.)
 use gnb_core::runtime::{CoordinationStrategy, RtCtx};
 use std::convert::Infallible;
 

@@ -1,11 +1,3 @@
-#![deny(
-    clippy::indexing_slicing,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::wildcard_enum_match_arm
-)]
 //! Every variant named: rustc proves the match exhaustive, so a new
 //! variant is a compile error until it has an arm. Re-arming a timer
 //! inside its own arm is fine.

@@ -9,11 +9,10 @@
 
 use gnb::core::driver::{try_run_sim, Algorithm, RunConfig, RunError};
 use gnb::core::workload::SimWorkload;
-use gnb::core::{CostModel, MachineConfig};
+use gnb::core::MachineConfig;
 use gnb::genome::presets;
 use gnb::overlap::synth::{synthesize, SynthParams};
-use gnb::sim::ckpt::CkptParams;
-use gnb::sim::fault::{CrashPlan, FaultConfig};
+use gnb::sim::fault::CrashPlan;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -154,192 +153,86 @@ fn check(cfg: &RunConfig, bad: &[&'static str]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The overflows reproduced before the validation, each refused with the
-/// field's name by all three strategies.
+/// Every hostile value reproduced before the validation, each refused with
+/// the field's name by all three strategies, in debug and release builds
+/// alike. The scalar ones overflowed; the nested fault, crash, checkpoint
+/// and cost ones panicked in the engine, the time arithmetic or the
+/// takeover successor, or never finished.
 #[test]
 fn reproduced_overflows_are_invalid_config() {
-    let cases: [(&str, RunConfig); 5] = [
-        (
-            "agg_flush_ns",
-            RunConfig {
-                agg_flush_ns: u64::MAX,
-                ..RunConfig::default()
-            },
-        ),
-        (
-            "req_bytes",
-            RunConfig {
-                req_bytes: u64::MAX,
-                ..RunConfig::default()
-            },
-        ),
+    // Each case edits the default config; checkpoint cases run with one
+    // crash scheduled, since only crashes enable them.
+    let with = |edit: &dyn Fn(&mut RunConfig)| {
+        let mut cfg = RunConfig::default();
+        edit(&mut cfg);
+        cfg
+    };
+    let with_crash = |edit: &dyn Fn(&mut RunConfig)| {
+        with(&|cfg: &mut RunConfig| {
+            cfg.crash = CrashPlan::none().with_crash(3, 1_000_000, None);
+            edit(cfg);
+        })
+    };
+    let crash_every_rank = |cfg: &mut RunConfig| {
+        for r in 0..8 {
+            cfg.crash = cfg.crash.clone().with_crash(r, 1_000_000, None);
+        }
+    };
+    let cases = [
+        ("agg_flush_ns", with(&|c| c.agg_flush_ns = u64::MAX)),
+        ("req_bytes", with(&|c| c.req_bytes = u64::MAX)),
         (
             "overhead_ns_per_task_async",
-            RunConfig {
-                overhead_ns_per_task_async: u64::MAX,
-                ..RunConfig::default()
-            },
+            with(&|c| c.overhead_ns_per_task_async = u64::MAX),
         ),
         (
             "overhead_ns_per_task_bsp",
-            RunConfig {
-                overhead_ns_per_task_bsp: u64::MAX,
-                ..RunConfig::default()
-            },
+            with(&|c| c.overhead_ns_per_task_bsp = u64::MAX),
         ),
-        (
-            "os_noise",
-            RunConfig {
-                os_noise: f64::NAN,
-                ..RunConfig::default()
-            },
-        ),
-    ];
-    let s = setup();
-    for (want, cfg) in &cases {
-        for algo in Algorithm::ALL {
-            match try_run_sim(&s.workload, &s.machine, algo, cfg) {
-                Err(RunError::InvalidConfig { field, .. }) => assert_eq!(field, *want),
-                other => panic!("{algo} with an absurd `{want}`: {other:?}"),
-            }
-        }
-    }
-}
-
-/// Hostile values of the nested fault, crash, checkpoint and cost
-/// configurations. Each panicked in the engine, the time arithmetic or the
-/// takeover successor, or never finished, before the validation covered
-/// them; each is now refused with the field's name by all three
-/// strategies, in debug and release builds alike.
-#[test]
-fn hostile_nested_values_are_invalid_config() {
-    let d = RunConfig::default();
-    let crash_of = |plan: CrashPlan| RunConfig {
-        crash: plan,
-        ..RunConfig::default()
-    };
-    let fault = |f: FaultConfig| RunConfig {
-        fault: f,
-        ..RunConfig::default()
-    };
-    let cost = |c: CostModel| RunConfig {
-        cost: c,
-        ..RunConfig::default()
-    };
-    let one_crash = CrashPlan::none().with_crash(3, 1_000_000, None);
-    let ckpt = |c: CkptParams| RunConfig {
-        crash: one_crash.clone(),
-        ckpt: c,
-        ..RunConfig::default()
-    };
-    let every_rank = (0..8).fold(CrashPlan::none(), |plan, r| {
-        plan.with_crash(r, 1_000_000, None)
-    });
-    let cases: Vec<(&str, RunConfig)> = vec![
+        ("os_noise", with(&|c| c.os_noise = f64::NAN)),
         (
             "crash",
-            crash_of(CrashPlan::none().with_crash(8, 1_000_000, None)),
+            with(&|c| c.crash = CrashPlan::none().with_crash(8, 1, None)),
         ),
-        ("crash", crash_of(every_rank)),
+        ("crash", with(&crash_every_rank)),
         (
             "crash",
-            crash_of(CrashPlan::none().with_crash(3, u64::MAX, None)),
+            with(&|c| c.crash = CrashPlan::none().with_crash(3, u64::MAX, None)),
         ),
-        (
-            "fault.drop_prob",
-            fault(FaultConfig {
-                drop_prob: f64::NAN,
-                ..d.fault
-            }),
-        ),
-        (
-            "fault.drop_prob",
-            fault(FaultConfig {
-                drop_prob: 2.0,
-                ..d.fault
-            }),
-        ),
+        ("fault.drop_prob", with(&|c| c.fault.drop_prob = f64::NAN)),
+        ("fault.drop_prob", with(&|c| c.fault.drop_prob = 2.0)),
         (
             "fault.straggler_factor",
-            fault(FaultConfig {
-                straggler_period: 2,
-                straggler_factor: f64::INFINITY,
-                ..d.fault
+            with(&|c| {
+                c.fault.straggler_period = 2;
+                c.fault.straggler_factor = f64::INFINITY;
             }),
         ),
         (
             "fault.delay_ns",
-            fault(FaultConfig {
-                delay_prob: 0.5,
-                delay_ns: u64::MAX,
-                ..d.fault
+            with(&|c| {
+                c.fault.delay_prob = 0.5;
+                c.fault.delay_ns = u64::MAX;
             }),
         ),
         (
             "fault.stall_ms",
-            fault(FaultConfig {
-                stall_period: 2,
-                stall_at_ms: 1,
-                stall_ms: u64::MAX,
-                ..d.fault
+            with(&|c| {
+                c.fault.stall_period = 2;
+                c.fault.stall_ms = u64::MAX;
             }),
         ),
-        (
-            "cost.fp_cells",
-            cost(CostModel {
-                fp_cells: f64::NAN,
-                ..d.cost
-            }),
-        ),
-        (
-            "cost.fp_cells",
-            cost(CostModel {
-                fp_cells: -1.0,
-                ..d.cost
-            }),
-        ),
+        ("cost.fp_cells", with(&|c| c.cost.fp_cells = f64::NAN)),
+        ("cost.fp_cells", with(&|c| c.cost.fp_cells = -1.0)),
         (
             "cost.cells_per_overlap_bp",
-            cost(CostModel {
-                cells_per_overlap_bp: f64::INFINITY,
-                ..d.cost
-            }),
+            with(&|c| c.cost.cells_per_overlap_bp = f64::INFINITY),
         ),
-        (
-            "cost.jitter",
-            cost(CostModel {
-                jitter: f64::NAN,
-                ..d.cost
-            }),
-        ),
-        (
-            "cost.jitter",
-            cost(CostModel {
-                jitter: -1.0,
-                ..d.cost
-            }),
-        ),
-        (
-            "cost.base_cells",
-            cost(CostModel {
-                base_cells: 1e300,
-                ..d.cost
-            }),
-        ),
-        (
-            "ckpt.base_ns",
-            ckpt(CkptParams {
-                base_ns: u64::MAX,
-                ..d.ckpt
-            }),
-        ),
-        (
-            "ckpt.interval_ns",
-            ckpt(CkptParams {
-                interval_ns: 0,
-                ..d.ckpt
-            }),
-        ),
+        ("cost.jitter", with(&|c| c.cost.jitter = f64::NAN)),
+        ("cost.jitter", with(&|c| c.cost.jitter = -1.0)),
+        ("cost.base_cells", with(&|c| c.cost.base_cells = 1e300)),
+        ("ckpt.base_ns", with_crash(&|c| c.ckpt.base_ns = u64::MAX)),
+        ("ckpt.interval_ns", with_crash(&|c| c.ckpt.interval_ns = 0)),
     ];
     let s = setup();
     for (want, cfg) in &cases {
