@@ -105,6 +105,12 @@ if [ "$(denied core/Cargo.toml)" != "$want" ]; then
     fail=1
 fi
 
+# A waiver's reason must say something; clippy only checks it is there.
+if git -C "$repo" grep -nE 'reason = ""' -- '*.rs'; then
+    echo "FAIL an #[expect] above has an empty reason"
+    fail=1
+fi
+
 # Each package's targets, compiled once: JSON diagnostics, one per line.
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT

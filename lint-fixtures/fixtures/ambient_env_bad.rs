@@ -8,3 +8,7 @@ pub fn arguments() -> Vec<String> {
     use std::env;
     env::args().collect()
 }
+
+pub fn reconfigure() {
+    std::env::remove_var("GNB_SECRET_KNOB");
+}
