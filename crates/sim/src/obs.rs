@@ -305,11 +305,15 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
+        let max_nodes = 1 << 20;
         ObsConfig {
-            max_nodes: 1 << 20,
+            max_nodes,
             max_spans: 1 << 20,
             max_instants: 1 << 16,
-            max_samples_per_series: 1 << 16,
+            // The global `msgs_in_flight` gauge moves twice per message (up
+            // at the send, down at the delivery), so a run whose nodes fit
+            // must not overflow it either.
+            max_samples_per_series: 2 * max_nodes,
         }
     }
 }
@@ -675,7 +679,7 @@ impl Obs {
             let _ = writeln!(o, "stall {} {} {}", s.rank, s.at.as_ns(), s.thaw.as_ns());
         }
         for s in &self.series {
-            let _ = writeln!(
+            let _ = write!(
                 o,
                 "series {} {} dropped {}",
                 s.metric.name(),
@@ -686,6 +690,11 @@ impl Obs {
                 },
                 s.dropped
             );
+            // Past the cap the final value is no longer the last sample.
+            if s.dropped > 0 {
+                let _ = write!(o, " last {}", s.current);
+            }
+            o.push('\n');
             for (t, v) in &s.samples {
                 let _ = writeln!(o, "s {} {}", t.as_ns(), v);
             }
@@ -777,6 +786,7 @@ impl Obs {
         let mut obs = Obs::new(ObsConfig::default(), 0);
         let mut truncated_flag = 0u8;
         let mut saw_end = false;
+        let mut last_given = false;
         for line in lines {
             let mut f = line.split_ascii_whitespace();
             match f.next() {
@@ -859,12 +869,24 @@ impl Obs {
                         return Err("malformed series line".to_string());
                     }
                     let dropped = num(f.next(), "series dropped")?;
+                    // `last V` follows only on a series that dropped
+                    // samples; without it the last sample is the value.
+                    last_given = match f.next() {
+                        Some("last") => true,
+                        None => false,
+                        Some(_) => return Err("malformed series line".to_string()),
+                    };
+                    let current = if last_given {
+                        num(f.next(), "series last")?
+                    } else {
+                        0
+                    };
                     obs.series.push(MetricSeries {
                         metric,
                         rank,
                         samples: Vec::new(),
                         dropped,
-                        current: 0,
+                        current,
                     });
                 }
                 Some("s") => {
@@ -875,7 +897,9 @@ impl Obs {
                         .last_mut()
                         .ok_or("sample before any series line")?;
                     series.samples.push((t, v));
-                    series.current = v;
+                    if !last_given {
+                        series.current = v;
+                    }
                 }
                 Some("end") => {
                     saw_end = true;
@@ -998,6 +1022,42 @@ mod tests {
         assert_eq!(retries.samples.len(), 2);
         assert_eq!(retries.dropped, 1);
         assert_eq!(retries.last_value(), 3, "running value keeps counting");
+    }
+
+    /// A series that dropped samples carries its final value in the text,
+    /// so a truncated recording still parses back to itself.
+    #[test]
+    fn truncated_series_round_trip_keeps_last_value() {
+        let cfg = ObsConfig {
+            max_samples_per_series: 2,
+            ..ObsConfig::default()
+        };
+        let mut o = Obs::new(cfg, 1);
+        for i in 0..5u64 {
+            o.counter_add(MetricId::Retries, GLOBAL_RANK, t(i), 1);
+        }
+        o.gauge_set(MetricId::QueueDepth, GLOBAL_RANK, t(0), 7);
+        o.finish(t(10));
+        assert!(o.is_truncated());
+        let text = o.to_text();
+        assert!(
+            text.contains("series retries - dropped 3 last 5\n"),
+            "{text}"
+        );
+        assert!(text.contains("series queue_depth - dropped 0\n"), "{text}");
+        let back = Obs::from_text(&text).expect("parse");
+        let retries = back.get_series(MetricId::Retries, GLOBAL_RANK).unwrap();
+        assert_eq!(retries.samples, vec![(t(0), 1), (t(1), 2)]);
+        assert_eq!(retries.last_value(), 5);
+        assert_eq!(back.series, o.series);
+        assert_eq!(back.to_text(), text);
+        // A `series` line without `last` still takes its last sample.
+        let old = text.replace(" last 5", "");
+        let back = Obs::from_text(&old).expect("parse");
+        let retries = back.get_series(MetricId::Retries, GLOBAL_RANK).unwrap();
+        assert_eq!(retries.last_value(), 2);
+        assert!(Obs::from_text(&text.replace(" last 5", " last")).is_err());
+        assert!(Obs::from_text(&text.replace(" last 5", " next 5")).is_err());
     }
 
     #[test]
