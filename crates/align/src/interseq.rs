@@ -10,8 +10,9 @@
 //! which the batch scheduler controls:
 //!
 //! * **Length bucketing** ([`LengthBuckets`]): the longest-first order
-//!   `align_batch` already produces is cut into buckets of ≤ 2× length
-//!   spread, so co-resident lanes finish at commensurate times.
+//!   `align_batch` already produces (or one worker's round-robin share of
+//!   it) is cut into buckets of ≤ 2× length spread, so co-resident lanes
+//!   finish at commensurate times.
 //! * **Staged lane refill**: diagonal progress is quantised onto a doubling
 //!   boundary grid (64, 128, 256, …). A cohort of lanes runs one stage;
 //!   survivors park in the next stage's pool and are re-seated into fresh,
@@ -61,6 +62,7 @@ use crate::scoring::ScoringScheme;
 use crate::seed_extend::{assemble_record, packed_candidate_geometry, AlignmentRecord, Candidate};
 use crate::xdrop::{Extension, XDropAligner};
 use gnb_genome::ReadSet;
+use rayon::prelude::*;
 use std::collections::VecDeque;
 
 /// "Minus infinity" of the `i16` lane arithmetic (`i16::MIN / 4`): low
@@ -246,18 +248,41 @@ impl BatchPlan {
     /// Builds the plan for a candidate set: the same stable longest-first
     /// sort [`crate::batch::align_batch`] uses, cut into length buckets.
     pub fn build(reads: &ReadSet, tasks: &[Candidate], lane_width: usize) -> BatchPlan {
-        let len_sum = |c: &Candidate| -> u32 {
-            (reads.read_len(c.a as usize) + reads.read_len(c.b as usize)) as u32
-        };
-        let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
-        order.sort_by_key(|&t| std::cmp::Reverse(len_sum(&tasks[t as usize])));
-        let sums: Vec<u32> = order.iter().map(|&t| len_sum(&tasks[t as usize])).collect();
+        BatchPlan::for_order(reads, tasks, longest_first(reads, tasks), lane_width)
+    }
+
+    /// The plan for candidates already in longest-first `order` (a subset
+    /// of `tasks` is fine): `order` cut into length buckets.
+    fn for_order(
+        reads: &ReadSet,
+        tasks: &[Candidate],
+        order: Vec<u32>,
+        lane_width: usize,
+    ) -> BatchPlan {
+        let sums: Vec<u32> = order
+            .iter()
+            .map(|&t| len_sum(reads, &tasks[t as usize]))
+            .collect();
         BatchPlan {
             lane_width: lane_width as u32,
             order,
             buckets: LengthBuckets::build(&sums).buckets,
         }
     }
+}
+
+/// `len(a) + len(b)`: the schedule's cost proxy for a candidate.
+fn len_sum(reads: &ReadSet, c: &Candidate) -> u32 {
+    (reads.read_len(c.a as usize) + reads.read_len(c.b as usize)) as u32
+}
+
+/// Candidate indices by descending [`len_sum`]. The sort is stable, so
+/// equal-length candidates keep input order and the schedule itself is
+/// deterministic.
+pub(crate) fn longest_first(reads: &ReadSet, tasks: &[Candidate]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
+    order.sort_by_key(|&t| std::cmp::Reverse(len_sum(reads, &tasks[t as usize])));
+    order
 }
 
 // ---------------------------------------------------------------------------
@@ -1474,7 +1499,20 @@ pub fn align_candidates_batched_with(
     params: &AlignParams,
 ) -> Vec<AlignmentRecord> {
     let plan = BatchPlan::build(reads, tasks, engine.path().lane_width());
-    let mut slots: Vec<Option<AlignmentRecord>> = vec![None; tasks.len()];
+    let records = align_plan(engine, reads, tasks, &plan, params);
+    in_input_order(tasks.len(), records)
+}
+
+/// Runs `plan` on `engine`: per bucket, expands each candidate into its
+/// two extension tasks and assembles the records, in plan order.
+fn align_plan(
+    engine: &mut BatchedXDropAligner,
+    reads: &ReadSet,
+    tasks: &[Candidate],
+    plan: &BatchPlan,
+    params: &AlignParams,
+) -> Vec<(u32, AlignmentRecord)> {
+    let mut records = Vec::with_capacity(plan.order.len());
     for bucket in &plan.buckets {
         let ids = &plan.order[bucket.first as usize..(bucket.first + bucket.count) as usize];
         let geoms: Vec<_> = ids
@@ -1501,19 +1539,35 @@ pub fn align_candidates_batched_with(
         let exts = engine.extend_batch(&pairs, &params.scoring, params.x);
         for (i, (&t, g)) in ids.iter().zip(&geoms).enumerate() {
             let (right, left) = (&exts[2 * i], &exts[2 * i + 1]);
-            slots[t as usize] = Some(assemble_record(
-                &tasks[t as usize],
-                g.seed_score,
-                left,
-                right,
-                g.a_pos,
-                g.b_pos,
-                params.k,
-                g.a.len(),
-                g.b_norm.len(),
-                &params.criteria,
+            records.push((
+                t,
+                assemble_record(
+                    &tasks[t as usize],
+                    g.seed_score,
+                    left,
+                    right,
+                    g.a_pos,
+                    g.b_pos,
+                    params.k,
+                    g.a.len(),
+                    g.b_norm.len(),
+                    &params.criteria,
+                ),
             ));
         }
+    }
+    records
+}
+
+/// Scatters `(candidate, record)` pairs, each candidate once, back to
+/// candidate order.
+pub(crate) fn in_input_order(
+    n: usize,
+    records: impl IntoIterator<Item = (u32, AlignmentRecord)>,
+) -> Vec<AlignmentRecord> {
+    let mut slots: Vec<Option<AlignmentRecord>> = vec![None; n];
+    for (t, rec) in records {
+        slots[t as usize] = Some(rec);
     }
     slots
         .into_iter()
@@ -1522,19 +1576,36 @@ pub fn align_candidates_batched_with(
 }
 
 /// Batch driver used by [`crate::batch::align_batch`] for
-/// [`crate::KernelImpl::Batched`]: one engine, bucketed schedule, records
-/// in input order.
+/// [`crate::KernelImpl::Batched`]. The longest-first order is dealt
+/// round-robin into `shares` shares, so each share spans every length
+/// class; the pool runs each share as its own bucketed plan on a
+/// per-worker engine, and the records are scattered back to input order.
+/// A record depends only on its own candidate, so it is the same for every
+/// share count.
 pub(crate) fn align_batch_batched(
     reads: &ReadSet,
     tasks: &[Candidate],
     params: &AlignParams,
+    shares: usize,
 ) -> BatchOutcome {
     #[expect(
         clippy::disallowed_types,
         reason = "measures real alignment wall time; deterministic outputs are the records, not the timing"
     )]
     let start = std::time::Instant::now();
-    let (records, _) = align_candidates_batched(reads, tasks, params);
+    let order = longest_first(reads, tasks);
+    let shares = shares.clamp(1, order.len().max(1));
+    let dealt: Vec<Vec<u32>> = (0..shares)
+        .map(|s| order.iter().skip(s).step_by(shares).copied().collect())
+        .collect();
+    let parts: Vec<Vec<(u32, AlignmentRecord)>> = dealt
+        .into_par_iter()
+        .map_init(BatchedXDropAligner::new, |engine, share| {
+            let plan = BatchPlan::for_order(reads, tasks, share, engine.path().lane_width());
+            align_plan(engine, reads, tasks, &plan, params)
+        })
+        .collect();
+    let records = in_input_order(tasks.len(), parts.into_iter().flatten());
     let elapsed = start.elapsed();
     let total_cells = records.iter().map(|r| r.cells).sum();
     BatchOutcome {

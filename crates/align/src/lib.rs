@@ -22,8 +22,9 @@
 //! * [`seed_extend::align_candidate`] — the full candidate workflow: strand
 //!   normalisation, two-directional extension from the seed, overlap
 //!   classification (paper Fig. 2), acceptance criteria;
-//! * [`batch::align_batch`] — batch driver: the batched engine by default,
-//!   a rayon loop for the per-candidate kernels;
+//! * [`batch::align_batch`] — batch driver on the `rayon` pool: one
+//!   batched engine per worker by default, the per-candidate scalar kernel
+//!   on request;
 //! * [`calibrate::measure_cell_rate`] — measures host DP-cell throughput to
 //!   convert cell counts into simulated KNL-core seconds.
 //!

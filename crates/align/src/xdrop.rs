@@ -39,7 +39,7 @@ pub struct Extension {
 /// Reusable scratch for X-drop extensions (three antidiagonal arrays).
 ///
 /// Reusing one aligner per worker thread keeps the hot loop allocation-free;
-/// [`crate::batch::align_batch`] does this via rayon's `map_init`.
+/// [`crate::batch::align_batch`]'s scalar path does this via `map_init`.
 #[derive(Debug, Default)]
 pub struct XDropAligner {
     prev2: Vec<i32>,

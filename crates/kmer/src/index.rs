@@ -6,8 +6,9 @@
 //! the alignment seed (paper Fig. 1).
 //!
 //! The lists are built by sorting. Each read's windows are sorted by
-//! `(kmer, pos)`, so the head of every k-mer's run is the read's first
-//! occurrence; the heads still in the count table are ranked against its
+//! `(kmer, pos)` (chunks of reads in parallel, joined in read order), so
+//! the head of every k-mer's run is the read's first occurrence; the
+//! heads still in the count table are ranked against its
 //! ascending k-mers, and a stable sort by rank lays the postings out in
 //! one compressed-sparse-row store: keys, `u32` offsets, one posting array.
 
@@ -15,6 +16,14 @@ use crate::count::{radix_sort, KmerCounts};
 use crate::kmer::{kmers_oriented, Kmer};
 use crate::minimizer::minimizers;
 use gnb_genome::ReadSet;
+use rayon::prelude::*;
+
+/// Reads are cut into this many chunks per pool worker, so that uneven
+/// read lengths still leave the workers evenly loaded.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// `(rank in the count table, posting)` pairs, read after read.
+type Seeds = Vec<(u32, Posting)>;
 
 /// One occurrence of a retained k-mer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,23 +84,47 @@ impl SeedIndex {
     fn from_windows<'a, I>(
         reads: &'a ReadSet,
         counts: &KmerCounts,
-        windows: impl Fn(&'a [u8]) -> I,
+        windows: impl Fn(&'a [u8]) -> I + Sync,
     ) -> Self
     where
         I: Iterator<Item = (Kmer, u32, bool)>,
     {
-        // (rank in the count table, posting), read after read.
-        let mut seeds: Vec<(u32, Posting)> = Vec::new();
-        for (read, seq) in reads.iter() {
-            let mut hits: Vec<(Kmer, u32, bool)> = windows(seq).collect();
-            // Stable on position-ordered input: each k-mer's run starts
-            // at the read's first occurrence.
-            radix_sort(&mut hits, 2 * counts.k, |&(km, _, _)| km.0);
-            hits.dedup_by_key(|&mut (km, _, _)| km);
-            seeds.extend(hits.iter().filter_map(|&(km, pos, fwd)| {
-                Some((counts.rank(km)? as u32, Posting { read, pos, fwd }))
-            }));
-        }
+        // Chunks of reads in parallel, concatenated in read order. Each
+        // chunk's buffer is reserved here for all its windows, so the
+        // workers never grow it (untouched capacity costs no resident
+        // memory).
+        let n = reads.len() as u32;
+        let chunk = n.div_ceil(CHUNKS_PER_WORKER as u32 * rayon::current_num_threads() as u32);
+        let chunks: Vec<(std::ops::Range<u32>, Seeds)> = (0..n)
+            .step_by(chunk.max(1) as usize)
+            .map(|lo| {
+                let ids = lo..n.min(lo + chunk);
+                let windows: usize = ids
+                    .clone()
+                    .map(|r| (reads.read_len(r as usize) + 1).saturating_sub(counts.k))
+                    .sum();
+                (ids, Vec::with_capacity(windows))
+            })
+            .collect();
+        let chunks: Vec<Seeds> = chunks
+            .into_par_iter()
+            .map(|(ids, mut seeds)| {
+                for read in ids {
+                    let mut hits: Vec<(Kmer, u32, bool)> =
+                        windows(reads.read(read as usize)).collect();
+                    // Stable on position-ordered input: each k-mer's run
+                    // starts at the read's first occurrence.
+                    radix_sort(&mut hits, 2 * counts.k, |&(km, _, _)| km.0);
+                    hits.dedup_by_key(|&mut (km, _, _)| km);
+                    seeds.extend(hits.iter().filter_map(|&(km, pos, fwd)| {
+                        Some((counts.rank(km)? as u32, Posting { read, pos, fwd }))
+                    }));
+                }
+                seeds
+            })
+            .collect();
+        let mut seeds = chunks.concat();
+        drop(chunks);
         // Stable again, so every list keeps its postings in read order.
         let rank_bits = usize::BITS - counts.distinct().leading_zeros();
         radix_sort(&mut seeds, rank_bits as usize, |&(rank, _)| rank as u64);

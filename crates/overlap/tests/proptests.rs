@@ -10,8 +10,6 @@ use gnb_overlap::candidates::generate_candidates;
 use gnb_overlap::partition::Partition;
 use gnb_overlap::store::{FlatTaskStore, PointerTaskStore, TaskStore};
 use proptest::prelude::*;
-use rayon::prelude::*;
-
 fn lengths(max_reads: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(50usize..5000, 1..max_reads)
 }
@@ -25,9 +23,7 @@ fn expand_sort_dedup(index: &SeedIndex) -> Vec<Candidate> {
     // bounded by hi².
     let mut pairs: Vec<Candidate> = index
         .iter()
-        .collect::<Vec<_>>()
-        .par_iter()
-        .flat_map_iter(|(_, list)| {
+        .flat_map(|(_, list)| {
             let mut out = Vec::with_capacity(list.len() * (list.len().saturating_sub(1)) / 2);
             for i in 0..list.len() {
                 for j in (i + 1)..list.len() {
@@ -52,7 +48,7 @@ fn expand_sort_dedup(index: &SeedIndex) -> Vec<Candidate> {
     let _ = k;
 
     // One seed per pair: order so the kept seed is deterministic.
-    pairs.par_sort_unstable_by_key(|c| (c.a, c.b, c.a_pos, c.b_pos, !c.same_strand));
+    pairs.sort_unstable_by_key(|c| (c.a, c.b, c.a_pos, c.b_pos, !c.same_strand));
     pairs.dedup_by_key(|c| (c.a, c.b));
     pairs
 }

@@ -4,7 +4,10 @@
 //! results may not. This is the paper's implicit correctness contract ("the
 //! alignment tasks ... are treated as fixed inputs"), and it extends to the
 //! shared rayon backend: the parallel and serial alignment paths must emit
-//! identical accepted-alignment sets.
+//! identical accepted-alignment sets. The parallel path runs on the
+//! `rayon` pool (one worker per available core), so on a multi-core host
+//! that assertion compares two real schedules: candidates dealt over
+//! several workers against one thread in input order.
 
 use gnb::align::batch::{align_batch_serial, AlignParams};
 use gnb::align::KernelImpl;
@@ -85,7 +88,9 @@ fn comm_only_mode_completes_everything() {
 /// serial paths emit identical accepted-alignment sets for a real pipeline
 /// task set, and all three simulated coordination codes complete exactly
 /// that task set with identical checksums. One fixed input, four
-/// executions, one answer.
+/// executions, one answer. "Rayon vs serial" compares two schedules: the
+/// pipeline's batch dealt over the pool's workers, each with its own
+/// engine, against the scalar kernel on one thread in input order.
 #[test]
 fn three_strategies_and_rayon_backend_agree() {
     let preset = presets::ecoli_30x().scaled(512);
