@@ -273,7 +273,7 @@ fn main() {
         }
     }
     // Gate 2b: checkpointed progress was recovered somewhere — the sweep
-    // exercises restore-from-bytes, not just replay-from-scratch.
+    // exercises checkpoint restore, not just replay-from-scratch.
     let recovered: u64 = pass1
         .iter()
         .filter(|c| c.response == CrashResponse::Takeover)

@@ -61,7 +61,7 @@ mod rank;
 pub mod stats;
 pub mod time;
 
-pub use ckpt::{Checkpointable, CkptParams, CkptReader, CkptRecord, CkptStore, CkptWriter};
+pub use ckpt::{CkptParams, CkptStore, Snapshot};
 pub use coll::{alltoallv_time, CollParams, ExchangeLoad};
 pub use cpath::{critical_path, CpCategory, CriticalPath};
 pub use engine::{Ctx, Engine, Program, TimeCategory};

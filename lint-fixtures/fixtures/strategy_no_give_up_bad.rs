@@ -2,7 +2,7 @@
 //! unwinds an abandoned one. The trait has no default hook bodies, so the
 //! missing `on_give_up` is a compile error (E0046), not a panic
 //! mid-recovery.
-use gnb_core::runtime::{CoordinationStrategy, RtCtx};
+use gnb_core::runtime::{CoordinationStrategy, RtCtx, Snapshot};
 use std::convert::Infallible;
 
 type Ctx<'c, 'e> = RtCtx<'c, 'e, Infallible, u32, ()>;
@@ -33,7 +33,7 @@ impl CoordinationStrategy for Broken {
         self.in_flight -= 1;
     }
 
-    fn on_adopt(&mut self, _rt: &mut Ctx<'_, '_>, _dead: usize, _ckpt: Option<Vec<u8>>) {}
+    fn on_adopt(&mut self, _rt: &mut Ctx<'_, '_>, _dead: usize, _ckpt: Option<Snapshot>) {}
 
     fn on_barrier(&mut self, _rt: &mut Ctx<'_, '_>, _id: u64) {}
 

@@ -2,7 +2,7 @@
 //! both: an abandoned request unwinds its in-flight count. (One that
 //! issues none declares uninhabited payloads and answers
 //! `match payload {}`, as `gnb_core::bsp::BspStrategy` does.)
-use gnb_core::runtime::{CoordinationStrategy, RtCtx};
+use gnb_core::runtime::{CoordinationStrategy, RtCtx, Snapshot};
 use std::convert::Infallible;
 
 type Ctx<'c, 'e> = RtCtx<'c, 'e, Infallible, u32, ()>;
@@ -37,7 +37,7 @@ impl CoordinationStrategy for Broken {
         self.in_flight -= 1;
     }
 
-    fn on_adopt(&mut self, _rt: &mut Ctx<'_, '_>, _dead: usize, _ckpt: Option<Vec<u8>>) {}
+    fn on_adopt(&mut self, _rt: &mut Ctx<'_, '_>, _dead: usize, _ckpt: Option<Snapshot>) {}
 
     fn on_barrier(&mut self, _rt: &mut Ctx<'_, '_>, _id: u64) {}
 
